@@ -17,15 +17,17 @@ func TestAblationBudgetMatters(t *testing.T) {
 	m := 64
 	ins := workload.PathWorstCase(p, m)
 
-	on, err := EvalRule(p, ins, nil, Options{})
+	db := Open()
+	defer db.Close()
+	on, err := db.EvalRule(p, ins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := EvalRule(p, ins, nil, Options{DisableBudget: true})
+	off, err := db.EvalRule(p, ins, nil, WithBudgetDisabled(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, res := range map[string]*RuleResult{"budget-on": on, "budget-off": off} {
+	for name, res := range map[string]*Result{"budget-on": on, "budget-off": off} {
 		ok, err := ins.IsModel(p, res.Tables)
 		if err != nil || !ok {
 			t.Fatalf("%s: not a model (%v)", name, err)
@@ -52,19 +54,21 @@ func TestAblationBudgetMatters(t *testing.T) {
 // BenchmarkAblationBudget quantifies the Case-4b effect across sizes.
 func BenchmarkAblationBudget(b *testing.B) {
 	p := workload.PathRule()
+	db := Open()
+	defer db.Close()
 	for _, m := range []int{64, 256} {
 		ins := workload.PathWorstCase(p, m)
 		for _, mode := range []struct {
-			name string
-			opt  Options
+			name     string
+			noBudget bool
 		}{
-			{"budget-on", Options{}},
-			{"budget-off", Options{DisableBudget: true}},
+			{"budget-on", false},
+			{"budget-off", true},
 		} {
 			b.Run(fmt.Sprintf("%s/N=%d", mode.name, m), func(b *testing.B) {
 				var maxInt int
 				for i := 0; i < b.N; i++ {
-					res, err := EvalRule(p, ins, nil, mode.opt)
+					res, err := db.EvalRule(p, ins, nil, WithBudgetDisabled(mode.noBudget))
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -80,9 +84,11 @@ func BenchmarkAblationBudget(b *testing.B) {
 // random inputs (the budget only affects performance, never correctness).
 func TestAblationModelSizeStillValid(t *testing.T) {
 	p := workload.PathRule()
+	db := Open()
+	defer db.Close()
 	for seed := int64(0); seed < 5; seed++ {
 		ins := RandomInstance(seed, &p.Schema, 40, 7)
-		res, err := EvalRule(p, ins, nil, Options{DisableBudget: true})
+		res, err := db.EvalRule(p, ins, nil, WithBudgetDisabled(true))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,8 +16,10 @@ import (
 	"panda/internal/baseline"
 	"panda/internal/bitset"
 	"panda/internal/bounds"
+	"panda/internal/core"
 	"panda/internal/entropy"
 	"panda/internal/flow"
+	"panda/internal/plan"
 	"panda/internal/query"
 	"panda/internal/setfunc"
 	"panda/internal/wcoj"
@@ -166,10 +168,12 @@ func BenchmarkExample18PANDA(b *testing.B) {
 	for _, m := range []int{64, 256, 1024} {
 		b.Run(fmt.Sprintf("N=%d", m), func(b *testing.B) {
 			ins := workload.PathWorstCase(p, m)
+			db := Open()
+			defer db.Close()
 			b.ResetTimer()
 			var maxInt int
 			for i := 0; i < b.N; i++ {
-				res, err := EvalRule(p, ins, nil, Options{})
+				res, err := db.EvalRule(p, ins, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -186,16 +190,18 @@ func BenchmarkExample18PANDA(b *testing.B) {
 // tree-decomposition plan (N^{3/2} vs N²).
 func BenchmarkExample110SubwVsTree(b *testing.B) {
 	q := workload.BooleanFourCycle()
+	db := Open()
+	defer db.Close()
 	for _, m := range []int{64, 128, 256} {
 		ins := workload.CycleWorstCase(q, m)
 		b.Run(fmt.Sprintf("panda-subw/m=%d", m), func(b *testing.B) {
 			var maxInt int
 			for i := 0; i < b.N; i++ {
-				_, ans, st, err := EvalSubw(q, ins, nil, Options{})
-				if err != nil || !ans {
-					b.Fatalf("ans=%v err=%v", ans, err)
+				res, err := db.Eval(q, ins, nil, WithMode(ModeSubw))
+				if err != nil || !res.OK {
+					b.Fatalf("res=%v err=%v", res, err)
 				}
-				maxInt = st.MaxIntermediate
+				maxInt = res.Stats.MaxIntermediate
 			}
 			b.ReportMetric(float64(maxInt), "max-intermediate")
 		})
@@ -344,8 +350,10 @@ func BenchmarkTheorem59ProofConstruction(b *testing.B) {
 
 // BenchmarkPreparedVsUnprepared demonstrates planning amortization on the
 // triangle and four-cycle workloads: the unprepared path re-pays the LP
-// solves and proof construction on every evaluation, the prepared path pays
-// once, and a cache-hit Prepare costs only signature canonicalization.
+// solves and proof construction on every evaluation (uncached plan.Prepare
+// plus execution), the prepared path plans once and only executes, and a
+// cache-hit Prepare costs only the plan cache's fingerprint lookup and
+// rebind.
 func BenchmarkPreparedVsUnprepared(b *testing.B) {
 	workloads := []struct {
 		name string
@@ -357,34 +365,40 @@ func BenchmarkPreparedVsUnprepared(b *testing.B) {
 	}
 	for _, w := range workloads {
 		ins := RandomInstance(w.seed, &w.q.Schema, 300, 30)
+		exec := &core.Executor{}
+		ctx := context.Background()
 		b.Run(w.name+"/unprepared", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, _, err := EvalFhtw(w.q, ins, nil, Options{}); err != nil {
+				p, _, err := plan.Prepare(w.q, core.CompleteConstraints(&w.q.Schema, ins, nil), ModeFhtw)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := exec.Execute(ctx, p, ins); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+		cons := core.CompleteConstraints(&w.q.Schema, ins, nil)
 		b.Run(w.name+"/prepared", func(b *testing.B) {
-			pl := NewPlanner(8)
-			pq, err := pl.PrepareForMode(w.q, ins, nil, ModeFhtw)
+			p, _, err := plan.Prepare(w.q, cons, ModeFhtw)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, _, err := pq.Eval(ins, Options{}); err != nil {
+				if _, err := exec.Execute(ctx, p, ins); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(w.name+"/prepare-hit", func(b *testing.B) {
-			pl := NewPlanner(8)
-			if _, err := pl.PrepareForMode(w.q, ins, nil, ModeFhtw); err != nil {
+			pl := plan.NewPlanner(8)
+			if _, err := pl.Prepare(w.q, cons, ModeFhtw); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := pl.PrepareForMode(w.q, ins, nil, ModeFhtw); err != nil {
+				if _, err := pl.Prepare(w.q, cons, ModeFhtw); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -486,8 +500,10 @@ func BenchmarkWCOJTriangle(b *testing.B) {
 		}
 	})
 	b.Run("panda", func(b *testing.B) {
+		db := Open()
+		defer db.Close()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := EvalFull(q, ins, nil, Options{}); err != nil {
+			if _, err := db.Eval(q, ins, nil, WithMode(ModeFull)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -499,27 +515,17 @@ func BenchmarkWCOJTriangle(b *testing.B) {
 func BenchmarkFullFourCycleEvaluators(b *testing.B) {
 	q := workload.FourCycleQuery()
 	ins := RandomInstance(7, &q.Schema, 500, 40)
-	b.Run("EvalFull", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := EvalFull(q, ins, nil, Options{}); err != nil {
-				b.Fatal(err)
+	db := Open()
+	defer db.Close()
+	for _, mode := range []PlanMode{ModeFull, ModeFhtw, ModeSubw} {
+		b.Run(mode.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := db.Eval(q, ins, nil, WithMode(mode)); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("EvalFhtw", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, _, err := EvalFhtw(q, ins, nil, Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("EvalSubw", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, _, err := EvalSubw(q, ins, nil, Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 	b.Run("TreePlan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, _, _, err := baseline.EvalTreePlan(q, ins, nil); err != nil {

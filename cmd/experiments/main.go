@@ -99,7 +99,7 @@ func table1() {
 func fig1() {
 	p := workload.PathRule()
 	ins := workload.PathWorstCase(p, 16)
-	res, err := panda.EvalRule(p, ins, nil, panda.Options{Trace: true})
+	res, err := panda.Open().EvalRule(p, ins, nil, panda.WithTrace(true))
 	check(err)
 	fmt.Println("Figure 1 — proof steps interpreted as relational operators (N = 16):")
 	for _, line := range res.Stats.Trace {
@@ -231,9 +231,10 @@ func ex18() {
 	p := workload.PathRule()
 	fmt.Println("Example 1.8 — PANDA on T123 ∨ T234 ← R12, R23, R34 (worst-case inputs):")
 	fmt.Printf("%8s %12s %12s %10s %8s\n", "N", "bound", "model", "lower-bnd", "max-int")
+	db := panda.Open()
 	for _, m := range []int{16, 64, 256, 1024} {
 		ins := workload.PathWorstCase(p, m)
-		res, err := panda.EvalRule(p, ins, nil, panda.Options{})
+		res, err := db.EvalRule(p, ins, nil)
 		check(err)
 		lb := workload.MinModelLowerBound(p, ins)
 		fmt.Printf("%8d %12.0f %12d %10d %8d\n",
@@ -247,17 +248,18 @@ func ex110() {
 	q := workload.BooleanFourCycle()
 	fmt.Println("Example 1.10 — Boolean 4-cycle, adversarial inputs:")
 	fmt.Printf("%6s %16s %16s %12s %12s\n", "m", "tree max-int", "panda max-int", "m^1.5", "m^2")
+	db := panda.Open()
 	for _, m := range []int{32, 64, 128, 256} {
 		ins := workload.CycleWorstCase(q, m)
 		_, ansT, st, err := baseline.EvalTreePlan(q, ins, nil)
 		check(err)
-		_, ansP, sp, err := panda.EvalSubw(q, ins, nil, panda.Options{})
+		res, err := db.Eval(q, ins, nil, panda.WithMode(panda.ModeSubw))
 		check(err)
-		if !ansT || !ansP {
+		if !ansT || !res.OK {
 			log.Fatal("both evaluators must find the cycle")
 		}
 		fmt.Printf("%6d %16d %16d %12.0f %12d\n",
-			m, st.MaxIntermediate, sp.MaxIntermediate, math.Pow(float64(m), 1.5), m*m)
+			m, st.MaxIntermediate, res.Stats.MaxIntermediate, math.Pow(float64(m), 1.5), m*m)
 	}
 }
 

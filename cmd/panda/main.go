@@ -41,6 +41,7 @@ import (
 	"strings"
 
 	"panda"
+	"panda/internal/plan"
 	"panda/internal/query"
 )
 
@@ -152,7 +153,7 @@ func fmtStep(s *query.Schema, st panda.ProofStep) string {
 	}
 }
 
-func printRulePlan(w io.Writer, s *query.Schema, idx int, rp *panda.RulePlan) {
+func printRulePlan(w io.Writer, s *query.Schema, idx int, rp *plan.PreparedRule) {
 	var targets []string
 	for _, b := range rp.Targets {
 		targets = append(targets, "T_"+s.VarLabel(b))
@@ -177,7 +178,7 @@ func cmdPlan(ctx context.Context, w io.Writer, res *query.ParseResult) error {
 			strings.Join(assumed, ", "), defaultCard)
 	}
 	if res.Conj == nil {
-		rp, err := panda.PrepareRule(res.Rule, dcs)
+		rp, _, err := plan.PrepareRule(s, dcs, res.Rule.Targets)
 		if err != nil {
 			return err
 		}
@@ -185,15 +186,14 @@ func cmdPlan(ctx context.Context, w io.Writer, res *query.ParseResult) error {
 		printRulePlan(w, s, 0, rp)
 		return nil
 	}
-	// Plan through a fresh session planner so the cache ops counters below
+	// Plan through a fresh planner so the cache ops counters below
 	// describe exactly this invocation's planning work; -timeout bounds
 	// the LP solves through the context.
-	pl := panda.NewPlanner(0)
-	pq, err := pl.PrepareModeContext(ctx, res.Conj, dcs, panda.ModeAuto)
+	pl := plan.NewPlanner(0)
+	p, err := pl.PrepareContext(ctx, res.Conj, dcs, plan.ModeAuto)
 	if err != nil {
 		return err
 	}
-	p := pq.Plan()
 	widthName := map[panda.PlanMode]string{
 		panda.ModeFull: "polymatroid bound",
 		panda.ModeFhtw: "da-fhtw",

@@ -175,7 +175,7 @@ func main() {
 		if err := db.SnapshotPlans(); err != nil {
 			log.Printf("plan snapshot: %v", err)
 		} else {
-			log.Printf("plan cache snapshotted: %d plans in %s", db.Planner().Len(), *planDir)
+			log.Printf("plan cache snapshotted: %d plans in %s", db.CachedPlans(), *planDir)
 		}
 	}
 }

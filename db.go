@@ -21,7 +21,7 @@ import (
 
 // DB is a long-lived query session in the spirit of database/sql: it owns a
 // catalog of named relations (create / insert / CSV ingest / drop) and a
-// shared Planner, and answers the textual query language through one
+// plan cache, and answers the textual query language through one
 // unified path — db.Prepare(src) parses a query into a *Stmt, and
 // stmt.QueryContext(ctx) / db.QueryContext(ctx, src) run cache-hit planning
 // plus execution, returning a single *Result shape for full, Boolean and
@@ -33,7 +33,7 @@ import (
 //
 // A DB is safe for concurrent use by multiple goroutines. The planning
 // phase (LP solves, proof sequences, decomposition choice) is cached in the
-// session's Planner keyed by a renaming-invariant canonical signature, so
+// session's planner keyed by a renaming-invariant canonical signature, so
 // repeated traffic against an unchanged catalog — including queries that
 // merely rename variables — pays planning once and executes with zero LP
 // solves thereafter. (Mutating a relation a query reads changes its
@@ -41,7 +41,7 @@ import (
 // replans against the new sizes, by design.)
 type DB struct {
 	mu       sync.RWMutex
-	planner  *Planner
+	planner  *plan.Planner
 	catalog  map[string]*relation.Relation // column i ↔ attribute i
 	version  uint64                        // bumped on every catalog mutation
 	defaults config
@@ -62,12 +62,11 @@ type DB struct {
 	planLoadErr   error
 }
 
-// config carries the tunables of a DB and of one query run. Functional
-// options replace the bare Options struct at the DB surface; Open sets
+// config carries the tunables of a DB and of one query run. Open sets
 // session defaults and each Query/Eval call may override them.
 type config struct {
 	mode          PlanMode
-	core          Options
+	core          core.Options
 	parallelism   int
 	partitions    int
 	plannerCap    int
@@ -146,10 +145,6 @@ func WithPlannerCapacity(n int) Option { return func(c *config) { c.plannerCap =
 // warm-restart guarantee pandad builds on. Effective at Open only.
 func WithPlanDir(dir string) Option { return func(c *config) { c.planDir = dir } }
 
-// withOptions folds a legacy Options struct into the config; the deprecated
-// wrappers use it to route through the DB path unchanged.
-func withOptions(o Options) Option { return func(c *config) { c.core = o } }
-
 // Open creates an empty session. Options set session-wide defaults; per-call
 // options on Query/Prepare/Eval override them.
 func Open(opts ...Option) *DB {
@@ -158,7 +153,7 @@ func Open(opts ...Option) *DB {
 		o(&cfg)
 	}
 	db := &DB{
-		planner:  NewPlanner(cfg.plannerCap),
+		planner:  plan.NewPlanner(cfg.plannerCap),
 		catalog:  map[string]*relation.Relation{},
 		defaults: cfg,
 	}
@@ -180,12 +175,6 @@ func (db *DB) PlanLoadResult() (PlanCacheLoadStats, error) {
 	return db.planLoadStats, db.planLoadErr
 }
 
-// newSession wraps an existing planner in a catalog-less DB; the deprecated
-// package-level wrappers share the default planner through one of these.
-func newSession(pl *Planner) *DB {
-	return &DB{planner: pl, catalog: map[string]*relation.Relation{}}
-}
-
 // Close drops the catalog and marks the session closed; subsequent calls
 // return ErrClosed. Closing an already-closed DB is a no-op.
 func (db *DB) Close() error {
@@ -200,8 +189,8 @@ func (db *DB) Close() error {
 	return nil
 }
 
-// Planner exposes the session's shared planner (for stats and Reset).
-func (db *DB) Planner() *Planner { return db.planner }
+// CachedPlans reports how many plans the session's plan cache holds.
+func (db *DB) CachedPlans() int { return db.planner.Len() }
 
 // PlannerStats snapshots the session planner's hit/miss/LP counters; a
 // query server's ops surface polls this to watch cache effectiveness.
@@ -545,7 +534,7 @@ func (db *DB) ReplanSignatures(ctx context.Context, keys []string) (replanned in
 		return 0, 0, ErrClosed
 	}
 	for _, key := range keys {
-		solves, err := db.planner.inner.ReplanKey(ctx, key)
+		solves, err := db.planner.ReplanKey(ctx, key)
 		if err != nil {
 			return replanned, lpSolves, err
 		}
@@ -778,7 +767,7 @@ func (db *DB) prepareConjunctive(ctx context.Context, q *Query, ins *Instance, d
 	if cfg.mode == ModeFull && !q.IsFull() {
 		return nil, fmt.Errorf("panda: ModeFull needs a full query (free %s)", q.VarLabel(q.Free))
 	}
-	return db.planner.inner.PrepareContext(ctx, q, core.CompleteConstraints(&q.Schema, ins, dcs), cfg.mode)
+	return db.planner.PrepareContext(ctx, q, core.CompleteConstraints(&q.Schema, ins, dcs), cfg.mode)
 }
 
 func (db *DB) evalConjunctive(ctx context.Context, q *Query, ins *Instance, dcs []Constraint, cfg config) (*Result, error) {

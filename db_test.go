@@ -7,6 +7,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"panda/internal/baseline"
+	"panda/internal/plan"
 )
 
 // loadCatalog copies an instance's relations into the session catalog,
@@ -30,28 +33,30 @@ const booleanFourCycleSrc = `Q() :- R12(A1,A2), R23(A2,A3), R34(A3,A4), R41(A1,A
 const triangleSrc = `Q(A,B,C) :- R(A,B), S(B,C), T(A,C).`
 const pathRuleSrc = `T1(A1,A2,A3) v T2(A2,A3,A4) :- R12(A1,A2), R23(A2,A3), R34(A3,A4).`
 
-// TestDBParityFourCycle: the deprecated EvalFull wrapper, the programmatic
-// DB path and the textual catalog path agree on the paper's running
-// example — rows, bound and non-emptiness.
+// TestDBParityFourCycle: the programmatic DB path and the textual catalog
+// path both answer the paper's running example with the brute-force join's
+// rows, and the ModeFull certificate is the polymatroid bound Bounds
+// computes independently.
 func TestDBParityFourCycle(t *testing.T) {
 	q := FourCycleQuery()
 	ins := CycleWorstCase(q, 12)
-
-	out, rr, err := EvalFull(q, ins, nil, Options{})
+	want := ins.FullJoin().SortedRows()
+	rep, err := Bounds(q, InstanceCardinalities(&q.Schema, ins))
 	if err != nil {
 		t.Fatal(err)
 	}
+
 	db := Open()
 	defer db.Close()
 	res, err := db.Eval(q, ins, nil, WithMode(ModeFull))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(out.SortedRows(), res.Rows()) {
-		t.Fatalf("DB.Eval diverges from EvalFull: %d vs %d rows", out.Size(), res.Size())
+	if !reflect.DeepEqual(want, res.Rows()) {
+		t.Fatalf("DB.Eval diverges from brute force: %d vs %d rows", len(want), res.Size())
 	}
-	if rr.Bound.Cmp(res.Bound) != 0 || res.Width.Cmp(res.Bound) != 0 {
-		t.Fatalf("bounds diverge: %v vs %v (width %v)", rr.Bound, res.Bound, res.Width)
+	if rep.Polymatroid.Cmp(res.Bound) != 0 || res.Width.Cmp(res.Bound) != 0 {
+		t.Fatalf("bound %v (width %v), want polymatroid bound %v", res.Bound, res.Width, rep.Polymatroid)
 	}
 	if res.Mode != ModeFull || !res.OK {
 		t.Fatalf("mode %v ok %v", res.Mode, res.OK)
@@ -62,21 +67,27 @@ func TestDBParityFourCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(out.SortedRows(), tres.Rows()) {
-		t.Fatalf("db.Query diverges from EvalFull: %d vs %d rows", out.Size(), tres.Size())
+	if !reflect.DeepEqual(want, tres.Rows()) {
+		t.Fatalf("db.Query diverges from brute force: %d vs %d rows", len(want), tres.Size())
 	}
 }
 
-// TestDBParityBooleanFourCycle: EvalSubw wrapper vs DB paths on the
-// Boolean variant.
+// TestDBParityBooleanFourCycle: the subw DB paths on the Boolean variant
+// agree with the tree-plan baseline's answer, carry the da-subw
+// certificate, and stay below the quadratic intermediates the baseline
+// pays.
 func TestDBParityBooleanFourCycle(t *testing.T) {
 	q := BooleanFourCycle()
 	ins := CycleWorstCase(q, 16)
-
-	_, ans, stats, err := EvalSubw(q, ins, nil, Options{})
+	_, ans, treeStats, err := baseline.EvalTreePlan(q, ins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	subw, err := DaSubw(q, InstanceCardinalities(&q.Schema, ins))
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	db := Open()
 	defer db.Close()
 	res, err := db.Eval(q, ins, nil, WithMode(ModeSubw))
@@ -86,8 +97,11 @@ func TestDBParityBooleanFourCycle(t *testing.T) {
 	if res.Rel != nil || res.OK != ans || res.Mode != ModeSubw {
 		t.Fatalf("DB boolean diverges: rel=%v ok=%v mode=%v", res.Rel, res.OK, res.Mode)
 	}
-	if res.Stats.MaxIntermediate != stats.MaxIntermediate {
-		t.Fatalf("stats diverge: %d vs %d", res.Stats.MaxIntermediate, stats.MaxIntermediate)
+	if res.Width.Cmp(subw) != 0 {
+		t.Fatalf("width %v, want da-subw %v", res.Width, subw)
+	}
+	if res.Stats.MaxIntermediate >= treeStats.MaxIntermediate {
+		t.Fatalf("subw intermediate %d not below the tree plan's %d", res.Stats.MaxIntermediate, treeStats.MaxIntermediate)
 	}
 	loadCatalog(t, db, &q.Schema, ins)
 	tres, err := db.Query(booleanFourCycleSrc)
@@ -99,72 +113,69 @@ func TestDBParityBooleanFourCycle(t *testing.T) {
 	}
 }
 
-// TestDBParityTriangle: Eval and EvalFhtw wrappers vs DB paths on the
-// triangle join.
+// TestDBParityTriangle: the ModeAuto and ModeFhtw DB paths and the textual
+// path answer the triangle join with the brute-force join's rows; the fhtw
+// plan carries the da-fhtw certificate.
 func TestDBParityTriangle(t *testing.T) {
 	q := TriangleQuery()
 	ins := RandomInstance(8, &q.Schema, 50, 12)
-
-	want, wantOK, err := Eval(q, ins, nil, Options{})
+	want := ins.FullJoin().SortedRows()
+	fhtw, err := DaFhtw(q, InstanceCardinalities(&q.Schema, ins))
 	if err != nil {
 		t.Fatal(err)
 	}
+
 	db := Open()
 	defer db.Close()
 	res, err := db.Eval(q, ins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.OK != wantOK || !reflect.DeepEqual(want.SortedRows(), res.Rows()) {
-		t.Fatalf("DB.Eval diverges from Eval: %d vs %d rows", want.Size(), res.Size())
-	}
-	fw, fOK, _, err := EvalFhtw(q, ins, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
+	if res.OK != (len(want) > 0) || !reflect.DeepEqual(want, res.Rows()) {
+		t.Fatalf("DB.Eval diverges from brute force: %d vs %d rows", len(want), res.Size())
 	}
 	fres, err := db.Eval(q, ins, nil, WithMode(ModeFhtw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fres.OK != fOK || !reflect.DeepEqual(fw.SortedRows(), fres.Rows()) || fres.Mode != ModeFhtw {
-		t.Fatal("DB fhtw diverges from EvalFhtw")
+	if !reflect.DeepEqual(want, fres.Rows()) || fres.Mode != ModeFhtw {
+		t.Fatal("DB fhtw diverges from brute force")
+	}
+	if fres.Width.Cmp(fhtw) != 0 {
+		t.Fatalf("fhtw width %v, want da-fhtw %v", fres.Width, fhtw)
 	}
 	loadCatalog(t, db, &q.Schema, ins)
 	tres, err := db.Query(triangleSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want.SortedRows(), tres.Rows()) {
+	if !reflect.DeepEqual(want, tres.Rows()) {
 		t.Fatal("textual triangle diverges")
 	}
 }
 
-// TestDBParityPathRule: EvalRule wrapper vs DB paths on the Example 1.4
-// disjunctive rule — same bound, same model tables.
+// TestDBParityPathRule: the programmatic and textual rule paths on the
+// Example 1.4 disjunctive rule report RuleBound's polymatroid bound and
+// return tables that form a model.
 func TestDBParityPathRule(t *testing.T) {
 	p := PathRule()
 	ins := RandomInstance(5, &p.Schema, 30, 6)
-
-	rr, err := EvalRule(p, ins, nil, Options{})
+	bound, err := RuleBound(p, InstanceCardinalities(&p.Schema, ins))
 	if err != nil {
 		t.Fatal(err)
 	}
+
 	db := Open()
 	defer db.Close()
 	res, err := db.EvalRule(p, ins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Mode != ModeRule || res.Bound.Cmp(rr.Bound) != 0 || res.Width.Cmp(rr.Bound) != 0 {
-		t.Fatalf("rule result shape: mode=%v bound=%v want %v", res.Mode, res.Bound, rr.Bound)
+	if res.Mode != ModeRule || res.Bound.Cmp(bound) != 0 || res.Width.Cmp(bound) != 0 {
+		t.Fatalf("rule result shape: mode=%v bound=%v want %v", res.Mode, res.Bound, bound)
 	}
-	if len(res.Tables) != len(rr.Tables) {
-		t.Fatalf("%d tables vs %d", len(res.Tables), len(rr.Tables))
-	}
-	for b, tb := range rr.Tables {
-		if !tb.Equal(res.Tables[b]) {
-			t.Fatalf("table %v diverges", b)
-		}
+	if len(res.Tables) != len(p.Targets) {
+		t.Fatalf("%d tables for %d targets", len(res.Tables), len(p.Targets))
 	}
 	ok, err := ins.IsModel(p, res.Tables)
 	if err != nil || !ok {
@@ -176,8 +187,8 @@ func TestDBParityPathRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tres.Mode != ModeRule || tres.Bound.Cmp(rr.Bound) != 0 {
-		t.Fatalf("textual rule bound %v, want %v", tres.Bound, rr.Bound)
+	if tres.Mode != ModeRule || tres.Bound.Cmp(bound) != 0 {
+		t.Fatalf("textual rule bound %v, want %v", tres.Bound, bound)
 	}
 	ok, err = ins.IsModel(p, tres.Tables)
 	if err != nil || !ok {
@@ -412,7 +423,7 @@ func TestDBSentinelErrors(t *testing.T) {
 		t.Fatal("ModeFull accepted a projection query")
 	}
 	// Planning without cardinality constraints leaves the LP unbounded.
-	if _, err := NewPlanner(4).Prepare(TriangleQuery(), nil); !errors.Is(err, ErrUnboundedLP) {
+	if _, err := plan.NewPlanner(4).Prepare(TriangleQuery(), nil, ModeAuto); !errors.Is(err, ErrUnboundedLP) {
 		t.Fatalf("unbounded LP: %v", err)
 	}
 	q := PathRule()
@@ -511,35 +522,5 @@ func TestDBConcurrent(t *testing.T) {
 	}
 	if st.Hits < 16 || st.Hits > 31 {
 		t.Fatalf("expected 16–31 plan-cache hits (db.Query path + pre-memo stmt calls): %v", st)
-	}
-}
-
-// TestDefaultPlannerLifecycle: SetDefaultPlannerCapacity resets the shared
-// cache behind the deprecated helpers, and DefaultPlannerStats observes it.
-func TestDefaultPlannerLifecycle(t *testing.T) {
-	defer SetDefaultPlannerCapacity(0) // leave a fresh default for other tests
-	SetDefaultPlannerCapacity(4)
-	if st := DefaultPlannerStats(); st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("fresh default planner has counters: %v", st)
-	}
-	q := TriangleQuery()
-	ins := RandomInstance(3, &q.Schema, 20, 6)
-	if _, _, err := Eval(q, ins, nil, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	st := DefaultPlannerStats()
-	if st.Misses == 0 {
-		t.Fatalf("Eval did not go through the default planner: %v", st)
-	}
-	if _, _, err := Eval(q, ins, nil, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	st2 := DefaultPlannerStats()
-	if st2.Hits != st.Hits+1 || st2.LPSolves != st.LPSolves {
-		t.Fatalf("repeat Eval was not a free cache hit: %v then %v", st, st2)
-	}
-	SetDefaultPlannerCapacity(4)
-	if st := DefaultPlannerStats(); st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("reset did not clear counters: %v", st)
 	}
 }

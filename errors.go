@@ -31,8 +31,8 @@ var (
 	// unbounded: the constraint set does not bound every target, typically
 	// because an atom lacks a cardinality constraint. The catalog-bound
 	// Query path cannot hit it (instance cardinalities are always added);
-	// it surfaces from Planner.Prepare and RuleBound with incomplete
-	// constraint sets.
+	// it surfaces from RuleBound and from planning (internal/plan) with
+	// incomplete constraint sets.
 	ErrUnboundedLP = flow.ErrUnbounded
 
 	// ErrNotConjunctive reports a Stmt method that needs a conjunctive

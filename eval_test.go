@@ -6,31 +6,33 @@ import (
 	"panda/internal/workload"
 )
 
-// TestEvalDispatch covers the three dispatch arms of Eval.
+// TestEvalDispatch covers the three arms of DB.Eval's ModeAuto dispatch.
 func TestEvalDispatch(t *testing.T) {
+	db := Open()
+	defer db.Close()
 	// Full.
 	q := FourCycleQuery()
 	ins := CycleWorstCase(q, 8)
-	out, ne, err := Eval(q, ins, nil, Options{})
-	if err != nil || !ne || out.Size() != 64 {
-		t.Fatalf("full: %v %v %v", out, ne, err)
+	res, err := db.Eval(q, ins, nil)
+	if err != nil || !res.OK || res.Size() != 64 || res.Mode != ModeFull {
+		t.Fatalf("full: %v %v", res, err)
 	}
 	// Boolean.
 	qb := BooleanFourCycle()
-	_, ne, err = Eval(qb, CycleWorstCase(qb, 8), nil, Options{})
-	if err != nil || !ne {
-		t.Fatalf("boolean: %v %v", ne, err)
+	res, err = db.Eval(qb, CycleWorstCase(qb, 8), nil)
+	if err != nil || !res.OK || res.Rel != nil {
+		t.Fatalf("boolean: %v %v", res, err)
 	}
 	// Projection: Q(A1, A3) over the worst case — A2 = A4 = 0 always, so
 	// the projection is the full [m]×[m] grid.
 	qp := FourCycleQuery()
 	qp.Free = Vars(0, 2)
-	out, ne, err = Eval(qp, CycleWorstCase(qp, 8), nil, Options{})
-	if err != nil || !ne {
-		t.Fatalf("projection: %v %v", ne, err)
+	res, err = db.Eval(qp, CycleWorstCase(qp, 8), nil)
+	if err != nil || !res.OK {
+		t.Fatalf("projection: %v %v", res, err)
 	}
-	if out.Size() != 64 || out.Attrs() != Vars(0, 2) {
-		t.Fatalf("projection result: %d tuples over %v", out.Size(), out.Attrs())
+	if res.Size() != 64 || res.Rel.Attrs() != Vars(0, 2) {
+		t.Fatalf("projection result: %d tuples over %v", res.Size(), res.Rel.Attrs())
 	}
 }
 
@@ -38,15 +40,17 @@ func TestEvalDispatch(t *testing.T) {
 func TestEvalProjectionMatchesBruteForce(t *testing.T) {
 	q := workload.TriangleQuery()
 	q.Free = Vars(0, 1)
+	db := Open()
+	defer db.Close()
 	for seed := int64(0); seed < 6; seed++ {
 		ins := RandomInstance(seed, &q.Schema, 30, 5)
-		out, _, err := Eval(q, ins, nil, Options{})
+		res, err := db.Eval(q, ins, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := ins.FullJoin().Project(Vars(0, 1))
-		if !out.Equal(want) {
-			t.Fatalf("seed %d: %d vs %d tuples", seed, out.Size(), want.Size())
+		if !res.Rel.Equal(want) {
+			t.Fatalf("seed %d: %d vs %d tuples", seed, res.Size(), want.Size())
 		}
 	}
 }

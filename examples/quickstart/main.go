@@ -4,15 +4,14 @@
 // deadline and parallel rule execution. Size bounds and width parameters
 // round out the tour.
 //
-// Migrating from the historical free functions:
+// Programmatic queries built in Go (rather than parsed from text) take
+// the same path with an explicit instance:
 //
-//	EvalFull(q, ins, dcs, opt) → db.Eval(q, ins, dcs, WithMode(ModeFull))
-//	EvalSubw(q, ins, dcs, opt) → db.Eval(q, ins, dcs, WithMode(ModeSubw))
-//	EvalRule(p, ins, dcs, opt) → db.EvalRule(p, ins, dcs)
-//	Prepare / PrepareFor       → db.Prepare(src) / db.Planner()
-//	Options{Trace: true}       → WithTrace(true)
+//	db.Eval(q, ins, dcs, WithMode(ModeSubw)) // conjunctive: res.Rel, res.OK
+//	db.EvalRule(p, ins, dcs)                 // disjunctive: res.Tables, res.Bound
+//	WithTrace(true), WithCheckInvariants(true), WithBudgetDisabled(true)
 //
-// and onto the context-first surface (Query/Eval delegate to these with
+// Every call has a context-first form (the plain ones delegate with
 // context.Background()):
 //
 //	db.Query(src)     → db.QueryContext(ctx, src)

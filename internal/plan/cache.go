@@ -3,6 +3,7 @@ package plan
 import (
 	"container/list"
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -15,7 +16,13 @@ type Stats struct {
 	Misses     uint64 // Prepare calls that built a fresh plan
 	Evictions  uint64 // plans dropped by the LRU policy
 	LPSolves   uint64 // exact simplex solves performed across all builds
-	PlansBuilt uint64 // plans constructed (== Misses unless builds raced)
+	PlansBuilt uint64 // plans constructed (== Misses unless builds failed)
+	// Coalesced counts waits on another call's in-flight build of the same
+	// signature. The waiter then looks the signature up again, which is
+	// counted as usual: a hit once the build installed its plan, a miss
+	// when the waiter has to build after all (the builder's context was
+	// cancelled, or the plan was evicted in between).
+	Coalesced uint64
 	// LPSolvesSaved is the cumulative count of exact simplex solves that
 	// cache hits avoided: each hit adds the LP cost the entry's original
 	// build paid. It is the ops-surface measure of what the cache is worth.
@@ -61,7 +68,17 @@ type Planner struct {
 	ll    *list.List               // front = most recently used
 	index map[string]*list.Element // canonical Key → element; value is *entry
 	exact map[string]*exactRef     // Fingerprint → entry + its signature
-	stats Stats
+	// building holds one in-flight build per canonical Key, so concurrent
+	// misses on a signature plan it once.
+	building map[string]*build
+	stats    Stats
+}
+
+// build is an in-flight plan construction; done closes when it ends, with
+// err set first when it failed.
+type build struct {
+	done chan struct{}
+	err  error
 }
 
 type entry struct {
@@ -87,10 +104,11 @@ func NewPlanner(capacity int) *Planner {
 		capacity = DefaultCacheSize
 	}
 	return &Planner{
-		cap:   capacity,
-		ll:    list.New(),
-		index: map[string]*list.Element{},
-		exact: map[string]*exactRef{},
+		cap:      capacity,
+		ll:       list.New(),
+		index:    map[string]*list.Element{},
+		exact:    map[string]*exactRef{},
+		building: map[string]*build{},
 	}
 }
 
@@ -151,7 +169,11 @@ func (pl *Planner) Prepare(q *query.Conjunctive, cons []query.DegreeConstraint, 
 
 // PrepareContext is Prepare honoring ctx: a cache hit never blocks on it,
 // but a miss threads the context into the underlying planning phase so its
-// LP solves can be abandoned when the caller goes away.
+// LP solves can be abandoned when the caller goes away. Concurrent misses
+// on one signature are coalesced: the first call builds, the others wait
+// for it (or for their own ctx) and then take the cached plan. A build that
+// fails on its builder's cancelled context sends its waiters back to build
+// for themselves; any other build error is shared with them.
 func (pl *Planner) PrepareContext(ctx context.Context, q *query.Conjunctive, cons []query.DegreeConstraint, mode Mode) (*Plan, error) {
 	if pl == nil {
 		p, _, err := PrepareContext(ctx, q, cons, mode)
@@ -172,15 +194,9 @@ func (pl *Planner) PrepareContext(ctx context.Context, q *query.Conjunctive, con
 	fp := Fingerprint(q, cons, mode)
 	pl.mu.Lock()
 	if ref, ok := pl.exact[fp]; ok {
-		pl.ll.MoveToFront(ref.el)
-		ent := ref.el.Value.(*entry)
-		ent.pri = pl.clock + ent.lpCost
-		cached := ent.plan
-		sig := ref.sig
-		pl.stats.Hits++
-		pl.stats.LPSolvesSaved += ent.lpCost
+		cached := pl.hit(ref.el)
 		pl.mu.Unlock()
-		return cached.fromCanonical(sig, &q.Schema, q.Free), nil
+		return cached.fromCanonical(ref.sig, &q.Schema, q.Free), nil
 	}
 	pl.mu.Unlock()
 
@@ -190,33 +206,56 @@ func (pl *Planner) PrepareContext(ctx context.Context, q *query.Conjunctive, con
 	if err != nil {
 		return nil, err
 	}
-	pl.mu.Lock()
-	if el, ok := pl.index[sig.Key]; ok {
-		pl.ll.MoveToFront(el)
-		pl.registerExact(el, fp, sig)
-		ent := el.Value.(*entry)
-		ent.pri = pl.clock + ent.lpCost
-		cached := ent.plan
-		pl.stats.Hits++
-		pl.stats.LPSolvesSaved += ent.lpCost
+	var b *build
+	for {
+		pl.mu.Lock()
+		if el, ok := pl.index[sig.Key]; ok {
+			pl.registerExact(el, fp, sig)
+			cached := pl.hit(el)
+			pl.mu.Unlock()
+			return cached.fromCanonical(sig, &q.Schema, q.Free), nil
+		}
+		other, busy := pl.building[sig.Key]
+		if !busy {
+			b = &build{done: make(chan struct{})}
+			pl.building[sig.Key] = b
+			pl.stats.Misses++
+			pl.mu.Unlock()
+			break
+		}
+		pl.stats.Coalesced++
 		pl.mu.Unlock()
-		return cached.fromCanonical(sig, &q.Schema, q.Free), nil
+		select {
+		case <-other.done:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		if err := other.err; err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+			return nil, err
+		}
 	}
-	pl.stats.Misses++
-	pl.mu.Unlock()
 
 	p, bs, err := PrepareContext(ctx, q, cons, mode)
+	var canon *Plan
+	if err == nil {
+		p.Key = sig.Key
+		canon = p.toCanonical(sig)
+	}
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	// Waiters woken here queue on pl.mu, so they find the entry installed.
+	b.err = err
+	delete(pl.building, sig.Key)
+	close(b.done)
 	if err != nil {
 		return nil, err
 	}
-	p.Key = sig.Key
-	canon := p.toCanonical(sig)
-	pl.mu.Lock()
 	pl.stats.LPSolves += uint64(bs.LPSolves)
 	pl.stats.PlansBuilt++
 	el, ok := pl.index[sig.Key]
 	if ok {
-		// A concurrent build won the race; adopt its entry.
+		// A plan-cache import installed the key during the build; adopt
+		// its entry.
 		pl.ll.MoveToFront(el)
 		ent := el.Value.(*entry)
 		ent.pri = pl.clock + ent.lpCost
@@ -228,8 +267,18 @@ func (pl *Planner) PrepareContext(ctx context.Context, q *query.Conjunctive, con
 	}
 	pl.registerExact(el, fp, sig)
 	pl.evictOverCap()
-	pl.mu.Unlock()
 	return p, nil
+}
+
+// hit serves a cached entry: it refreshes the entry's recency and eviction
+// priority and credits the LP solves the hit saved. Caller holds pl.mu.
+func (pl *Planner) hit(el *list.Element) *Plan {
+	pl.ll.MoveToFront(el)
+	ent := el.Value.(*entry)
+	ent.pri = pl.clock + ent.lpCost
+	pl.stats.Hits++
+	pl.stats.LPSolvesSaved += ent.lpCost
+	return ent.plan
 }
 
 // Stats returns a snapshot of the planner's counters.

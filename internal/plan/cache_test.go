@@ -1,9 +1,12 @@
 package plan
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestPlannerHitSkipsLP: the second Prepare of an identical query must be a
@@ -292,5 +295,104 @@ func TestPlannerReset(t *testing.T) {
 	pl.Reset()
 	if pl.Len() != 0 || pl.Stats() != (Stats{}) {
 		t.Fatal("Reset left state behind")
+	}
+}
+
+// TestPlannerCoalescesConcurrentMisses: concurrent first sightings of one
+// signature build a single plan; every other call is served that plan as a
+// hit, whether it waited on the build or arrived after it.
+func TestPlannerCoalescesConcurrentMisses(t *testing.T) {
+	pl := NewPlanner(4)
+	q, cons := cycleQuery(4, nil, nil, 16)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if _, err := pl.Prepare(q, cons, ModeSubw); err != nil {
+				errs <- err
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	st := pl.Stats()
+	if st.Misses != 1 || st.PlansBuilt != 1 || st.Hits != 7 {
+		t.Fatalf("8 concurrent sightings should build once and hit 7 times: %v (coalesced %d)", st, st.Coalesced)
+	}
+}
+
+// TestPlannerCoalescedWaitersSurviveCancelledBuilder: a call waiting on an
+// in-flight build does not inherit the builder's context error — it builds
+// the plan itself — while any other build error is shared, and a waiter
+// whose own context ends stops waiting with that context's error.
+func TestPlannerCoalescedWaitersSurviveCancelledBuilder(t *testing.T) {
+	q, cons := cycleQuery(4, nil, nil, 16)
+	sig, err := Canonicalize(q, cons, ModeFhtw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// waitOn parks a call behind a simulated in-flight build of the
+	// signature, ends that build with buildErr once the call is waiting,
+	// and returns the call's outcome.
+	waitOn := func(pl *Planner, ctx context.Context, buildErr error, cancel func()) (*Plan, error) {
+		b := &build{done: make(chan struct{})}
+		pl.mu.Lock()
+		pl.building[sig.Key] = b
+		pl.mu.Unlock()
+		type outcome struct {
+			p   *Plan
+			err error
+		}
+		out := make(chan outcome, 1)
+		go func() {
+			p, err := pl.PrepareContext(ctx, q, cons, ModeFhtw)
+			out <- outcome{p, err}
+		}()
+		for pl.Stats().Coalesced == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		if cancel != nil {
+			cancel()
+		} else {
+			pl.mu.Lock()
+			b.err = buildErr
+			delete(pl.building, sig.Key)
+			close(b.done)
+			pl.mu.Unlock()
+		}
+		o := <-out
+		return o.p, o.err
+	}
+
+	pl := NewPlanner(4)
+	p, err := waitOn(pl, context.Background(), fmt.Errorf("plan: build: %w", context.Canceled), nil)
+	if err != nil || p == nil || p.Width == nil {
+		t.Fatalf("waiter inherited the builder's cancellation: plan %v, err %v", p, err)
+	}
+	if st := pl.Stats(); st.Coalesced != 1 || st.Misses != 1 || st.PlansBuilt != 1 || st.Hits != 0 {
+		t.Fatalf("waiter should have built after the cancelled build: %v (coalesced %d)", st, st.Coalesced)
+	}
+
+	pl = NewPlanner(4)
+	boom := errors.New("boom")
+	if _, err := waitOn(pl, context.Background(), boom, nil); !errors.Is(err, boom) {
+		t.Fatalf("waiter did not share the build error: %v", err)
+	}
+	if st := pl.Stats(); st.Misses != 0 || st.PlansBuilt != 0 {
+		t.Fatalf("waiter rebuilt after a shared build error: %v", st)
+	}
+
+	pl = NewPlanner(4)
+	ctx, cancel := context.WithCancel(context.Background())
+	if _, err := waitOn(pl, ctx, nil, cancel); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled waiter: got %v, want context.Canceled", err)
 	}
 }

@@ -7,7 +7,7 @@
 // captures everything the planning phase produces: the chosen tree
 // decomposition(s), per-bag fractional edge covers, the PANDA proof sequence
 // of every disjunctive rule, and a width certificate (the da-fhtw or da-subw
-// value as an exact rational). internal/core.Execute runs the data-dependent
+// value as an exact rational). internal/core.Executor runs the data-dependent
 // phase against a Plan; a Planner caches Plans in a concurrency-safe LRU
 // keyed by a canonical signature of (query shape, free variables, constraint
 // set), so repeated traffic pays the (often exponential-in-query-size)

@@ -109,7 +109,7 @@ func (m *metrics) snapshotShapes() (shapes []*shapeStat, other *shapeStat, evict
 func (m *metrics) write(w io.Writer, s *Server) {
 	// Live session counters: no m.mu involved.
 	st := s.db.PlannerStats()
-	plans := s.db.Planner().Len()
+	plans := s.db.CachedPlans()
 	entries, stmtHits, stmtMisses := s.stmts.snapshot()
 
 	// Snapshot this collector's state; rendering happens after unlock so a

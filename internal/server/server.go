@@ -836,7 +836,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		"format_version": panda.PlanFormatVersion,
 		"catalog_epoch":  s.catalogEpoch.Load(),
 		"plan_clock":     s.db.PlanClock(),
-		"plans_cached":   s.db.Planner().Len(),
+		"plans_cached":   s.db.CachedPlans(),
 		"uptime_seconds": time.Since(s.start).Seconds(),
 		"planner": map[string]any{
 			"hits":            st.Hits,

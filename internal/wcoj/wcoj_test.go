@@ -1,8 +1,6 @@
 package wcoj
 
 import (
-	"context"
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -99,43 +97,5 @@ func TestUncoveredVariable(t *testing.T) {
 	ins.Relations[0].Insert([]relation.Value{1})
 	if _, err := Join(s, ins, nil); err == nil {
 		t.Fatal("uncovered variable accepted")
-	}
-}
-
-// TestParallelJoinMatchesJoin: the data-parallel partitioned join must
-// produce exactly the sequential join's tuple set on random triangle
-// instances, for several partition counts and worker counts, and must
-// degrade to the sequential join when no partitioning applies.
-func TestParallelJoinMatchesJoin(t *testing.T) {
-	s := triangleSchema()
-	rng := rand.New(rand.NewSource(42))
-	ins := query.NewInstance(s)
-	for i := 0; i < 3; i++ {
-		for n := 0; n < 200; n++ {
-			ins.Relations[i].Insert([]relation.Value{
-				relation.Value(rng.Intn(16)), relation.Value(rng.Intn(16)),
-			})
-		}
-	}
-	want, err := Join(s, ins, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int{1, 2, 3, 8} {
-		for _, workers := range []int{1, 4} {
-			got, err := ParallelJoin(context.Background(), s, ins, nil, k, workers)
-			if err != nil {
-				t.Fatalf("k=%d w=%d: %v", k, workers, err)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("k=%d w=%d: %d tuples, want %d", k, workers, got.Size(), want.Size())
-			}
-		}
-	}
-	// A cancelled context aborts.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := ParallelJoin(ctx, s, ins, nil, 4, 2); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled parallel join: got %v", err)
 	}
 }

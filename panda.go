@@ -18,18 +18,13 @@
 //     and Boolean conjunctive queries at the degree-aware fractional
 //     hypertree width and submodular width (Theorem 1.9);
 //   - the width-parameter zoo of Section 7: tw, ghtw, fhtw, subw, adw and
-//     their degree-aware generalizations, all exact;
-//   - prepared queries (Prepare / PreparedQuery.Eval): the data-independent
-//     planning phase — LP solves, proof-sequence construction, tree
-//     decomposition choice — runs once, is reified as a QueryPlan, and is
-//     cached in a concurrency-safe LRU keyed by a canonical,
-//     renaming-invariant signature, so repeated traffic pays planning once.
+//     their degree-aware generalizations, all exact.
 //
 // # The DB session API
 //
 // The recommended surface is DB, a long-lived session in the spirit of
 // database/sql: it owns a catalog of named relations (CreateRelation,
-// Insert, LoadCSV/LoadCSVDir, DropRelation) and a shared Planner, and runs
+// Insert, LoadCSV/LoadCSVDir, DropRelation) and a plan cache, and runs
 // every query shape through one path:
 //
 //	db := panda.Open()
@@ -43,9 +38,12 @@
 // certificate, per-rule tables, stats). Errors wrap structured sentinels
 // (ErrUnknownRelation, ErrArity, ErrUnboundedLP, …) for errors.Is
 // dispatch, and functional options (WithMode, WithTrace, WithParallelism,
-// WithPlannerCapacity, …) replace the bare Options struct. Repeated
-// traffic — including queries that merely rename variables — hits the
-// session's plan cache and executes with zero LP solves.
+// WithPlannerCapacity, …) tune the session and each call. The planning
+// phase — LP solves, proof-sequence construction, tree decomposition
+// choice — runs once per query shape and is cached in the session's plan
+// cache, keyed by a canonical, renaming-invariant signature: repeated
+// traffic, including queries that merely rename variables, executes with
+// zero LP solves.
 //
 // Execution is context-first: QueryContext/EvalContext/EvalRuleContext
 // check cancellation between the engine's proof steps, so deadlines and
@@ -54,19 +52,6 @@
 // fans a plan's independent per-bag / per-transversal rule executions out
 // across a bounded worker pool with a deterministic merge — the answer is
 // byte-identical to a sequential run.
-//
-// # Migrating from the Eval* functions
-//
-// The historical free functions survive as thin deprecated wrappers over a
-// shared default session:
-//
-//	EvalFull(q, ins, dcs, opt)  →  db.Eval(q, ins, dcs, WithMode(ModeFull))  // out = res.Rel, rule = res.Tables/res.Bound
-//	EvalFhtw(q, ins, dcs, opt)  →  db.Eval(q, ins, dcs, WithMode(ModeFhtw))  // out, ok = res.Rel, res.OK
-//	EvalSubw(q, ins, dcs, opt)  →  db.Eval(q, ins, dcs, WithMode(ModeSubw))  // out, ok = res.Rel, res.OK
-//	Eval(q, ins, dcs, opt)      →  db.Eval(q, ins, dcs)                      // ModeAuto dispatch
-//	EvalRule(p, ins, dcs, opt)  →  db.EvalRule(p, ins, dcs)                  // model = res.Tables, bound = res.Bound
-//	Prepare / PrepareFor        →  db.Prepare(src) (textual) or db.Planner() (programmatic)
-//	Options{Trace: true}        →  WithTrace(true); CheckInvariants → WithCheckInvariants(true)
 //
 // The subpackages under internal/ hold the substrates (exact simplex,
 // relational algebra, hypergraph/tree-decomposition machinery, entropy and
@@ -118,12 +103,6 @@ type Value = relation.Value
 // constraints and FDs are special cases.
 type Constraint = query.DegreeConstraint
 
-// Options tunes PANDA runs (tracing, invariant checking).
-type Options = core.Options
-
-// RuleResult is the outcome of evaluating a disjunctive rule.
-type RuleResult = core.Result
-
 // Stats reports what a run did.
 type Stats = core.Stats
 
@@ -144,57 +123,6 @@ func Degree(x, y Set, n int64, guard int) Constraint { return query.Degree(x, y,
 
 // Parse reads the textual query format (see internal/query.Parse).
 func Parse(src string) (*query.ParseResult, error) { return query.Parse(src) }
-
-// EvalRule runs PANDA on a disjunctive datalog rule, returning a model
-// whose tables respect the polymatroid bound (Theorem 1.7).
-//
-// Deprecated: use DB.EvalRule (or DB.Query with a disjunctive head); the
-// model lives in Result.Tables and the bound in Result.Bound.
-func EvalRule(p *Rule, ins *Instance, dcs []Constraint, opt Options) (*RuleResult, error) {
-	res, err := pkgDB().EvalRule(p, ins, dcs, withOptions(opt))
-	if err != nil {
-		return nil, err
-	}
-	return &RuleResult{Tables: res.Tables, Bound: res.Bound, Stats: res.Stats}, nil
-}
-
-// EvalFull answers a full conjunctive query exactly via PANDA + semijoin
-// reduction (Corollary 7.10).
-//
-// Deprecated: use DB.Eval with WithMode(ModeFull); the output is
-// Result.Rel and the rule outcome Result.Tables/Result.Bound.
-func EvalFull(q *Query, ins *Instance, dcs []Constraint, opt Options) (*Relation, *RuleResult, error) {
-	res, err := pkgDB().Eval(q, ins, dcs, WithMode(ModeFull), withOptions(opt))
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Rel, &RuleResult{Tables: res.Tables, Bound: res.Bound, Stats: res.Stats}, nil
-}
-
-// EvalFhtw evaluates a full or Boolean query with the degree-aware
-// fractional-hypertree-width plan (Corollary 7.11).
-//
-// Deprecated: use DB.Eval with WithMode(ModeFhtw).
-func EvalFhtw(q *Query, ins *Instance, dcs []Constraint, opt Options) (*Relation, bool, *Stats, error) {
-	res, err := pkgDB().Eval(q, ins, dcs, WithMode(ModeFhtw), withOptions(opt))
-	if err != nil {
-		return nil, false, nil, err
-	}
-	return res.Rel, res.OK, res.Stats, nil
-}
-
-// EvalSubw evaluates a full or Boolean query at the degree-aware
-// submodular width (Theorem 1.9 / Corollary 7.13) — the paper's headline
-// algorithm.
-//
-// Deprecated: use DB.Eval with WithMode(ModeSubw).
-func EvalSubw(q *Query, ins *Instance, dcs []Constraint, opt Options) (*Relation, bool, *Stats, error) {
-	res, err := pkgDB().Eval(q, ins, dcs, WithMode(ModeSubw), withOptions(opt))
-	if err != nil {
-		return nil, false, nil, err
-	}
-	return res.Rel, res.OK, res.Stats, nil
-}
 
 // Workload re-exports: the paper's running examples.
 

@@ -10,12 +10,14 @@ import (
 func TestFacadeFourCycle(t *testing.T) {
 	q := FourCycleQuery()
 	ins := CycleWorstCase(q, 12)
-	out, res, err := EvalFull(q, ins, nil, Options{})
+	db := Open()
+	defer db.Close()
+	res, err := db.Eval(q, ins, nil, WithMode(ModeFull))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Size() != 144 {
-		t.Fatalf("|Q| = %d, want 144", out.Size())
+	if res.Size() != 144 {
+		t.Fatalf("|Q| = %d, want 144", res.Size())
 	}
 	if res.Bound == nil {
 		t.Fatal("missing bound")
@@ -60,7 +62,9 @@ func TestFacadeWidths(t *testing.T) {
 func TestFacadeRule(t *testing.T) {
 	p := PathRule()
 	ins := RandomInstance(5, &p.Schema, 30, 6)
-	res, err := EvalRule(p, ins, nil, Options{})
+	db := Open()
+	defer db.Close()
+	res, err := db.EvalRule(p, ins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +97,13 @@ func TestFacadeParseAndEval(t *testing.T) {
 		t.Fatal(err)
 	}
 	ins := RandomInstance(9, &res.Rule.Schema, 25, 5)
-	out, _, err := EvalFull(res.Conj, ins, nil, Options{})
+	db := Open()
+	defer db.Close()
+	out, err := db.Eval(res.Conj, ins, nil, WithMode(ModeFull))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Equal(ins.FullJoin()) {
+	if !out.Rel.Equal(ins.FullJoin()) {
 		t.Fatal("parsed triangle evaluation mismatch")
 	}
 }
@@ -105,14 +111,16 @@ func TestFacadeParseAndEval(t *testing.T) {
 func TestFacadeBooleanSubw(t *testing.T) {
 	q := BooleanFourCycle()
 	ins := CycleWorstCase(q, 16)
-	_, ans, stats, err := EvalSubw(q, ins, nil, Options{})
+	db := Open()
+	defer db.Close()
+	res, err := db.Eval(q, ins, nil, WithMode(ModeSubw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ans {
+	if !res.OK {
 		t.Fatal("cycle exists")
 	}
-	if stats.MaxIntermediate > 16*16 {
-		t.Fatalf("intermediate %d reached the quadratic regime", stats.MaxIntermediate)
+	if res.Stats.MaxIntermediate > 16*16 {
+		t.Fatalf("intermediate %d reached the quadratic regime", res.Stats.MaxIntermediate)
 	}
 }

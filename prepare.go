@@ -1,34 +1,14 @@
 package panda
 
 import (
-	"context"
-	"io"
-	"math/big"
-	"sync"
-
-	"panda/internal/core"
 	"panda/internal/flow"
 	"panda/internal/plan"
 )
 
-// Prepared-query support: the data-independent planning phase (exact LP
-// solves, proof-sequence construction, tree-decomposition choice) runs once
-// in Prepare and is reified as a plan; Eval then runs only the
-// data-dependent phase. A Planner caches plans in a concurrency-safe LRU
-// keyed by a canonical signature of (query shape, free variables,
-// constraint set), so repeated traffic — including queries that are mere
-// variable renamings of earlier ones — skips planning entirely.
-
-// QueryPlan is a reified query plan: tree decomposition(s), per-bag
-// fractional edge covers, PANDA proof sequences, and an exact width
-// certificate.
-type QueryPlan = plan.Plan
-
-// RulePlan is the reified planning output for a single disjunctive rule.
-type RulePlan = plan.PreparedRule
-
-// PlanCover is an exact fractional edge cover of one plan bag.
-type PlanCover = plan.Cover
+// The data-independent planning phase (exact LP solves, proof-sequence
+// construction, tree-decomposition choice) lives in internal/plan; a DB's
+// planner caches its reified plans keyed by a canonical, renaming-invariant
+// signature. This file re-exports the plan vocabulary the facade surfaces.
 
 // PlanMode selects the evaluation strategy a plan encodes.
 type PlanMode = plan.Mode
@@ -41,7 +21,7 @@ const (
 	ModeSubw = plan.ModeSubw // submodular-width plan (Theorem 1.9)
 )
 
-// PlannerStats snapshots a Planner's cache and planning counters.
+// PlannerStats snapshots a session planner's cache and planning counters.
 type PlannerStats = plan.Stats
 
 // PlanCacheLoadStats reports what a plan-cache import did: entries loaded,
@@ -64,209 +44,15 @@ const (
 	StepDecomposition = flow.Decomposition
 )
 
-// Planner prepares query plans through a concurrency-safe LRU plan cache.
-// The zero capacity selects plan.DefaultCacheSize.
-type Planner struct {
-	inner *plan.Planner
-}
-
-// NewPlanner returns a Planner holding up to capacity cached plans.
-func NewPlanner(capacity int) *Planner {
-	return &Planner{inner: plan.NewPlanner(capacity)}
-}
-
-// Prepare runs the planning phase for q under a complete constraint set:
-// every constraint guarded and every atom carrying a cardinality constraint
-// (use PrepareFor to derive missing cardinalities from an instance). The
-// result can be evaluated against any instance satisfying the constraints.
-func (pl *Planner) Prepare(q *Query, dcs []Constraint) (*PreparedQuery, error) {
-	return pl.PrepareMode(q, dcs, ModeAuto)
-}
-
-// PrepareMode is Prepare with an explicit strategy choice.
-func (pl *Planner) PrepareMode(q *Query, dcs []Constraint, mode PlanMode) (*PreparedQuery, error) {
-	return pl.PrepareModeContext(context.Background(), q, dcs, mode)
-}
-
-// PrepareModeContext is PrepareMode honoring ctx: a cache miss threads the
-// context into the planning phase, whose LP solves check cancellation, so
-// an expired deadline aborts planning promptly with ctx.Err().
-func (pl *Planner) PrepareModeContext(ctx context.Context, q *Query, dcs []Constraint, mode PlanMode) (*PreparedQuery, error) {
-	p, err := pl.inner.PrepareContext(ctx, q, dcs, mode)
-	if err != nil {
-		return nil, err
-	}
-	return &PreparedQuery{p: p}, nil
-}
-
-// PrepareFor completes dcs with the instance's atom cardinalities before
-// planning, mirroring what Eval/EvalFhtw/EvalSubw do internally.
-func (pl *Planner) PrepareFor(q *Query, ins *Instance, dcs []Constraint) (*PreparedQuery, error) {
-	return pl.PrepareMode(q, core.CompleteConstraints(&q.Schema, ins, dcs), ModeAuto)
-}
-
-// PrepareForMode is PrepareFor with an explicit strategy choice.
-func (pl *Planner) PrepareForMode(q *Query, ins *Instance, dcs []Constraint, mode PlanMode) (*PreparedQuery, error) {
-	return pl.PrepareMode(q, core.CompleteConstraints(&q.Schema, ins, dcs), mode)
-}
-
-// Stats returns the planner's hit/miss/eviction/LP counters.
-func (pl *Planner) Stats() PlannerStats { return pl.inner.Stats() }
-
-// Len reports how many plans the cache currently holds.
-func (pl *Planner) Len() int { return pl.inner.Len() }
-
-// SaveCache writes every cached plan to w (most recently used first) in the
-// versioned, digested panda-plan-cache format; LoadCache on another Planner
-// — typically in a restarted or replica process — re-seeds its cache so
-// previously planned queries are answered with zero LP solves.
-func (pl *Planner) SaveCache(w io.Writer) error { return pl.inner.SaveCache(w) }
-
-// SaveCacheSince writes only the plans installed after the given cache
-// clock (a full snapshot when since = 0); the envelope records the clock
-// the selection was made at, so a consumer importing successive deltas and
-// remembering each envelope's clock sees every entry exactly once. This is
-// the incremental seam the fleet push loop rides.
-func (pl *Planner) SaveCacheSince(w io.Writer, since uint64) error {
-	return pl.inner.SaveCacheSince(w, since)
-}
-
-// CacheClock reports the planner's cache clock: a monotone count of entry
-// installs (fresh builds plus imports). It never moves backwards, so it is
-// safe to use as a remote delta watermark.
-func (pl *Planner) CacheClock() uint64 { return pl.inner.CacheClock() }
-
-// LoadCache reads a panda-plan-cache snapshot from r. Individual entries
-// are skipped (never fatal) on a format-version or digest mismatch or a
-// malformed payload, and keys the cache already holds count as benign
-// duplicates; the returned stats say what happened. Loaded entries keep
-// their recorded LP build cost, so cache hits on them credit LPSolvesSaved
-// exactly as in the donor process.
-func (pl *Planner) LoadCache(r io.Reader) (PlanCacheLoadStats, error) {
-	return pl.inner.LoadCache(r)
-}
-
-// PreparedQuery is a query whose planning phase has already run; Eval
-// executes only the data-dependent part. Safe for concurrent Eval calls.
-type PreparedQuery struct {
-	p *plan.Plan
-}
-
-// Eval runs the prepared plan over an instance. The relation is nil for
-// Boolean queries; the bool answers non-emptiness in every case. Proper
-// projection queries are projected onto their free variables, matching the
-// one-shot Eval dispatch.
-func (pq *PreparedQuery) Eval(ins *Instance, opt Options) (*Relation, bool, *Stats, error) {
-	return pq.EvalContext(context.Background(), ins, opt)
-}
-
-// EvalContext is Eval honoring ctx: the engine checks cancellation between
-// proof steps, so a cancelled or expired context aborts the run promptly
-// with ctx.Err(). Callers who also want parallel rule execution should run
-// the query through a DB with WithParallelism — the session path shares
-// this plan cache and adds the bounded worker pool.
-func (pq *PreparedQuery) EvalContext(ctx context.Context, ins *Instance, opt Options) (*Relation, bool, *Stats, error) {
-	exec := &core.Executor{Opt: opt}
-	ex, err := exec.Execute(ctx, pq.p, ins)
-	if err != nil {
-		return nil, false, nil, err
-	}
-	return projectFree(ex.Out, pq.p.Free), ex.NonEmpty, ex.Stats, nil
-}
-
 // projectFree projects an execution output onto the query's free variables
 // when it is a proper projection (non-full, non-Boolean); full and Boolean
-// results pass through. Shared by PreparedQuery.Eval and the DB path so
-// the two surfaces cannot diverge.
+// results pass through. Shared by the query and watch paths so the two
+// cannot diverge.
 func projectFree(out *Relation, free Set) *Relation {
 	if out != nil && free != 0 && free != out.Attrs() {
 		return out.Project(free)
 	}
 	return out
-}
-
-// Plan exposes the reified plan for introspection.
-func (pq *PreparedQuery) Plan() *QueryPlan { return pq.p }
-
-// Width is the plan's exact width certificate in log₂ units: the
-// polymatroid bound (ModeFull), da-fhtw (ModeFhtw) or da-subw (ModeSubw).
-func (pq *PreparedQuery) Width() *big.Rat { return pq.p.Width }
-
-// Signature is the canonical cache key of the plan.
-func (pq *PreparedQuery) Signature() string { return pq.p.Key }
-
-// Mode reports the strategy the plan encodes.
-func (pq *PreparedQuery) Mode() PlanMode { return pq.p.Mode }
-
-// Covers computes the plan's per-bag fractional edge covers on demand
-// (execution never needs them; they document the AGM-style certificate of
-// each bag).
-func (pq *PreparedQuery) Covers() ([]PlanCover, error) { return pq.p.Covers() }
-
-// The default planner: one process-wide plan cache backing the deprecated
-// package-level helpers (Prepare, PrepareFor, Eval, EvalFull, EvalFhtw,
-// EvalSubw, EvalRule). All of them share a single LRU — a plan prepared
-// through any of these entry points is a cache hit for every other. A DB
-// opened with Open does NOT share it: each session owns its own Planner
-// (size it with WithPlannerCapacity). Long-lived processes that stay on
-// the package-level helpers can size or reset the shared cache with
-// SetDefaultPlannerCapacity and watch it with DefaultPlannerStats.
-var (
-	defaultMu      sync.Mutex
-	defaultSession = newSession(NewPlanner(0))
-)
-
-// pkgDB returns the catalog-less session the deprecated package-level
-// helpers run through.
-func pkgDB() *DB {
-	defaultMu.Lock()
-	defer defaultMu.Unlock()
-	return defaultSession
-}
-
-// SetDefaultPlannerCapacity replaces the process-wide default planner with
-// a fresh one holding up to capacity plans (0 selects the default
-// capacity). Cached plans and counters are discarded; in-flight calls
-// finish against the planner they started with.
-func SetDefaultPlannerCapacity(capacity int) {
-	defaultMu.Lock()
-	defer defaultMu.Unlock()
-	defaultSession = newSession(NewPlanner(capacity))
-}
-
-// DefaultPlannerStats snapshots the process-wide default planner's
-// hit/miss/eviction/LP counters.
-func DefaultPlannerStats() PlannerStats { return pkgDB().PlannerStats() }
-
-// Prepare plans q with the process-wide default planner (shared LRU cache).
-//
-// Deprecated: open a DB and use DB.Prepare (textual queries) or
-// DB.Planner().Prepare (programmatic queries) so the cache lifecycle is
-// owned by a session instead of the process.
-func Prepare(q *Query, dcs []Constraint) (*PreparedQuery, error) {
-	return pkgDB().planner.Prepare(q, dcs)
-}
-
-// PrepareFor plans q with the default planner, deriving missing atom
-// cardinalities from the instance.
-//
-// Deprecated: open a DB and use DB.Prepare or DB.Planner().PrepareFor.
-func PrepareFor(q *Query, ins *Instance, dcs []Constraint) (*PreparedQuery, error) {
-	return pkgDB().planner.PrepareFor(q, ins, dcs)
-}
-
-// PrepareRule runs the planning phase for a disjunctive rule: the
-// polymatroid-bound LP and the Theorem 5.9 proof sequence. The constraint
-// set must be complete (see Planner.Prepare).
-func PrepareRule(p *Rule, dcs []Constraint) (*RulePlan, error) {
-	pr, _, err := plan.PrepareRule(&p.Schema, dcs, p.Targets)
-	return pr, err
-}
-
-// CompleteConstraints appends each atom's instance cardinality to dcs when
-// missing, producing the complete constraint set the planner needs.
-func CompleteConstraints(s *Schema, ins *Instance, dcs []Constraint) []Constraint {
-	return core.CompleteConstraints(s, ins, dcs)
 }
 
 // DefaultCardinalities appends |R| ≤ n for every atom lacking a declared

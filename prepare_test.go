@@ -3,73 +3,65 @@ package panda
 import (
 	"reflect"
 	"testing"
+
+	"panda/internal/plan"
 )
 
-// TestFacadePreparedQuery: prepare-once/eval-many through the facade
-// matches the one-shot Eval path, and repeated preparation is answered from
-// the plan cache without LP work.
+// TestFacadePreparedQuery: the session plans a query once, answers it with
+// the brute-force join's rows, and serves repeats from the plan cache
+// without LP work.
 func TestFacadePreparedQuery(t *testing.T) {
-	pl := NewPlanner(8)
+	db := Open(WithPlannerCapacity(8))
+	defer db.Close()
 	q := FourCycleQuery()
 	ins := RandomInstance(3, &q.Schema, 200, 24)
+	want := ins.FullJoin().SortedRows()
 
-	pq, err := pl.PrepareFor(q, ins, nil)
+	res, err := db.Eval(q, ins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pq.Mode() != ModeFull {
-		t.Fatalf("full query planned as %v", pq.Mode())
+	if res.Mode != ModeFull {
+		t.Fatalf("full query planned as %v", res.Mode)
 	}
-	if pq.Width() == nil || pq.Signature() == "" {
-		t.Fatal("plan lacks width certificate or signature")
+	if res.Width == nil || res.Signature == "" || res.Stats == nil {
+		t.Fatal("result lacks width certificate, signature or stats")
 	}
-	got, ok, stats, err := pq.Eval(ins, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats == nil {
-		t.Fatal("prepared Eval returned no stats")
-	}
-	want, wantOK, err := Eval(q, ins, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok != wantOK || !reflect.DeepEqual(got.SortedRows(), want.SortedRows()) {
-		t.Fatalf("prepared facade result diverges: %d rows vs %d", got.Size(), want.Size())
+	if res.OK != (len(want) > 0) || !reflect.DeepEqual(res.Rows(), want) {
+		t.Fatalf("prepared result diverges from brute force: %d rows vs %d", res.Size(), len(want))
 	}
 
-	solved := pl.Stats().LPSolves
-	if _, err := pl.PrepareFor(q, ins, nil); err != nil {
+	solved := db.PlannerStats().LPSolves
+	if _, err := db.Eval(q, ins, nil); err != nil {
 		t.Fatal(err)
 	}
-	st := pl.Stats()
+	st := db.PlannerStats()
 	if st.Hits != 1 || st.LPSolves != solved {
 		t.Fatalf("re-preparation was not a free cache hit: %v", st)
 	}
 
-	// The explicit fhtw mode works through the facade too.
-	pq2, err := pl.PrepareForMode(q, ins, nil, ModeFhtw)
+	// The explicit fhtw mode plans separately and answers the same rows.
+	fres, err := db.Eval(q, ins, nil, WithMode(ModeFhtw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2, _, _, err := pq2.Eval(ins, Options{})
-	if err != nil {
-		t.Fatal(err)
+	if fres.Mode != ModeFhtw || !reflect.DeepEqual(fres.Rows(), want) {
+		t.Fatal("fhtw prepared result diverges from brute force")
 	}
-	if !reflect.DeepEqual(got2.SortedRows(), want.SortedRows()) {
-		t.Fatal("fhtw prepared facade result diverges")
+	if db.CachedPlans() != 2 {
+		t.Fatalf("cache holds %d plans, want 2 (full + fhtw)", db.CachedPlans())
 	}
 }
 
-// TestFacadePrepareRule: rule planning is exposed and prints a proof
-// sequence consistent with RuleBound.
+// TestFacadePrepareRule: rule planning yields a proof sequence whose bound
+// is RuleBound's.
 func TestFacadePrepareRule(t *testing.T) {
 	p := PathRule()
 	var dcs []Constraint
 	for i, a := range p.Atoms {
 		dcs = append(dcs, Cardinality(a.Vars, 16, i))
 	}
-	rp, err := PrepareRule(p, dcs)
+	rp, _, err := plan.PrepareRule(&p.Schema, dcs, p.Targets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,46 +77,33 @@ func TestFacadePrepareRule(t *testing.T) {
 	}
 }
 
-// TestFacadePreparedProjection: a proper projection query evaluates to the
-// same rows through the prepared path as through Eval.
+// TestFacadePreparedProjection: a proper projection query answers the
+// projected brute-force join, both programmatically and through a prepared
+// statement over the catalog.
 func TestFacadePreparedProjection(t *testing.T) {
 	q := FourCycleQuery()
 	q.Free = Vars(0, 2)
 	ins := RandomInstance(17, &q.Schema, 80, 12)
-	want, wantOK, err := Eval(q, ins, nil, Options{})
+	want := ins.FullJoin().Project(q.Free).SortedRows()
+	db := Open(WithPlannerCapacity(4))
+	defer db.Close()
+	res, err := db.Eval(q, ins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pq, err := NewPlanner(4).PrepareFor(q, ins, nil)
+	if res.OK != (len(want) > 0) || !reflect.DeepEqual(res.Rows(), want) {
+		t.Fatalf("projection diverges from brute force: %d rows vs %d", res.Size(), len(want))
+	}
+	loadCatalog(t, db, &q.Schema, ins)
+	stmt, err := db.Prepare(`Q(A1,A3) :- R12(A1,A2), R23(A2,A3), R34(A3,A4), R41(A1,A4).`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok, _, err := pq.Eval(ins, Options{})
+	sres, err := stmt.Query()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok != wantOK || !reflect.DeepEqual(got.SortedRows(), want.SortedRows()) {
-		t.Fatalf("prepared projection diverges: %d rows vs %d", got.Size(), want.Size())
-	}
-}
-
-// TestFacadeDefaultPlanner: the package-level helpers share one cache.
-func TestFacadeDefaultPlanner(t *testing.T) {
-	q := TriangleQuery()
-	ins := RandomInstance(8, &q.Schema, 50, 12)
-	pq, err := PrepareFor(q, ins, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ok, _, err := pq.Eval(ins, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, wantOK, err := Eval(q, ins, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok != wantOK {
-		t.Fatalf("default-planner answer %v, want %v", ok, wantOK)
+	if !reflect.DeepEqual(sres.Rows(), want) {
+		t.Fatalf("prepared projection diverges from brute force: %d rows vs %d", sres.Size(), len(want))
 	}
 }

@@ -17,8 +17,7 @@ const ModeRule = plan.ModeRule
 
 // Result is the unified outcome of every DB query path — full, Boolean and
 // projection conjunctive queries and disjunctive datalog rules all produce
-// one shape, replacing the historical (*Relation, *RuleResult), (*Relation,
-// bool, *Stats) and (*RuleResult) return zoos.
+// one shape.
 type Result struct {
 	// Rel is the output relation over the query's free variables; nil for
 	// Boolean queries and for disjunctive rules (see Tables).
