@@ -415,8 +415,16 @@ func BenchmarkPreparedVsUnprepared(b *testing.B) {
 // minimal bag transversal): the same cached plan executed sequentially
 // (P=1) and through the bounded worker pool (P=NumCPU). The merge is
 // deterministic, so both produce identical answers; the shape (parallel
-// wall clock ≤ sequential on multi-rule plans) is the target.
+// wall clock ≤ sequential on multi-rule plans) is the target. Arm names
+// are literal, so a one-CPU run still reports two distinct leaves.
 func BenchmarkParallelExecute(b *testing.B) {
+	arms := []struct {
+		name string
+		par  int
+	}{
+		{"P=1", 1},
+		{"P=NumCPU", runtime.NumCPU()},
+	}
 	q := workload.BooleanFourCycle()
 	ins := workload.CycleWorstCase(q, 192)
 	db := Open()
@@ -425,10 +433,10 @@ func BenchmarkParallelExecute(b *testing.B) {
 	if _, err := db.Eval(q, ins, nil); err != nil {
 		b.Fatal(err)
 	}
-	for _, par := range []int{1, runtime.NumCPU()} {
-		b.Run(fmt.Sprintf("P=%d", par), func(b *testing.B) {
+	for _, arm := range arms {
+		b.Run(arm.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := db.EvalContext(context.Background(), q, ins, nil, WithParallelism(par))
+				res, err := db.EvalContext(context.Background(), q, ins, nil, WithParallelism(arm.par))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -443,9 +451,9 @@ func BenchmarkParallelExecute(b *testing.B) {
 	// per-rule fan-out above has nothing to parallelize — the speedup must
 	// come from data-parallel partitioned execution (WithPartitions
 	// co-partitions R and T on the shared variable and replicates S, one
-	// rule execution per partition through the same pool). The arm names
-	// are literal because CI asserts P=NumCPU is ≥2× P=1 on this case and
-	// the row counts of both arms agree.
+	// rule execution per partition through the same pool). CI asserts
+	// P=NumCPU is ≥2× P=1 on this case, and the row counts of both arms
+	// agree.
 	b.Run("large-rule", func(b *testing.B) {
 		tq := workload.TriangleQuery()
 		tins := RandomInstance(11, &tq.Schema, 8192, 192)
@@ -462,13 +470,6 @@ func BenchmarkParallelExecute(b *testing.B) {
 		}
 		if seq.Rel.Size() != par.Rel.Size() {
 			b.Fatalf("partitioned run diverges: %d rows vs %d sequential", par.Rel.Size(), seq.Rel.Size())
-		}
-		arms := []struct {
-			name string
-			par  int
-		}{
-			{"P=1", 1},
-			{"P=NumCPU", runtime.NumCPU()},
 		}
 		for _, arm := range arms {
 			b.Run(arm.name, func(b *testing.B) {

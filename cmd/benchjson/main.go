@@ -5,6 +5,7 @@
 //	{
 //	  "schema": "panda-bench/v1",
 //	  "go": "go1.24.0", "goos": "linux", "goarch": "amd64", "cpu": "…",
+//	  "num_cpu": 8, "gomaxprocs": 8,
 //	  "benchmarks": [
 //	    {"pkg": "panda/internal/plan",
 //	     "name": "BenchmarkPlanDecodeVsPrepare/decode",
@@ -15,7 +16,9 @@
 // Every `<value> <unit>` pair after the iteration count lands in metrics
 // (ns/op additionally in the ns_per_op field), so custom b.ReportMetric
 // units like max-intermediate survive. Input order is preserved; jq can
-// diff two artifacts benchmark-by-benchmark.
+// diff two artifacts benchmark-by-benchmark. num_cpu and gomaxprocs are
+// read from the machine benchjson runs on, so run it where the benchmarks
+// ran: they tell how many cores a parallel arm such as P=NumCPU had.
 //
 // Usage: go test -bench=… ./… | benchjson [-o BENCH_PR.json]
 package main
@@ -51,6 +54,8 @@ type Report struct {
 	GOOS       string  `json:"goos"`
 	GOARCH     string  `json:"goarch"`
 	CPU        string  `json:"cpu,omitempty"`
+	NumCPU     int     `json:"num_cpu"`
+	GOMAXPROCS int     `json:"gomaxprocs"`
 	Benchmarks []Bench `json:"benchmarks"`
 }
 
@@ -69,10 +74,12 @@ var (
 // tracking the pkg/cpu header lines interleaved between packages.
 func parse(r io.Reader) (*Report, error) {
 	rep := &Report{
-		Schema: SchemaID,
-		Go:     runtime.Version(),
-		GOOS:   runtime.GOOS,
-		GOARCH: runtime.GOARCH,
+		Schema:     SchemaID,
+		Go:         runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
 	pkg := ""
 	sc := bufio.NewScanner(r)

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -79,5 +81,29 @@ func TestParseSkipsNonBenchLines(t *testing.T) {
 func TestParseRejectsMalformedBenchLine(t *testing.T) {
 	if _, err := parse(strings.NewReader("BenchmarkX-8 100 nonsense ns/op extra\n")); err == nil {
 		t.Fatal("malformed line parsed without error")
+	}
+}
+
+func TestReportStampsCoreCounts(t *testing.T) {
+	rep, err := parse(strings.NewReader(sample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.NumCPU != runtime.NumCPU() || rep.GOMAXPROCS != runtime.GOMAXPROCS(0) {
+		t.Fatalf("num_cpu %d, gomaxprocs %d; want %d, %d",
+			rep.NumCPU, rep.GOMAXPROCS, runtime.NumCPU(), runtime.GOMAXPROCS(0))
+	}
+	out, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(out, &fields); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"num_cpu", "gomaxprocs"} {
+		if v, ok := fields[k].(float64); !ok || v < 1 {
+			t.Fatalf("report field %s = %v, want a positive count", k, fields[k])
+		}
 	}
 }

@@ -161,10 +161,11 @@ func (ex *Executor) executePartitionedRule(ctx context.Context, s *query.Schema,
 // mergeRuleResults folds per-partition rule results in partition order into
 // one Result (set-semantics table unions, stats and timings accumulated).
 func mergeRuleResults(pr *plan.PreparedRule, ress []*Result) *Result {
-	out := &Result{Tables: map[bitset.Set]*relation.Relation{}, Bound: pr.Bound, Stats: newStats()}
+	out := &Result{Bound: pr.Bound, Stats: newStats()}
+	tables := tableMerger{}
 	for _, res := range ress {
 		accumulate(out.Stats, res.Stats)
-		mergeTables(out.Tables, res.Tables)
+		tables.add(res.Tables)
 		if res.Timings != nil {
 			if out.Timings == nil {
 				out.Timings = newTimings()
@@ -172,6 +173,7 @@ func mergeRuleResults(pr *plan.PreparedRule, ress []*Result) *Result {
 			out.Timings.Accumulate(res.Timings)
 		}
 	}
+	out.Tables = tables.tables()
 	return out
 }
 
@@ -374,6 +376,11 @@ func (ex *Executor) execute(ctx context.Context, p *plan.Plan, ins *query.Instan
 		// both the exact join and — the target being the full variable set —
 		// the canonical model, so it serves as the run's model table without
 		// a serial union of the larger unreduced per-partition tables.
+		// Disjointness: the partition key is one variable, and every atom
+		// holding it is hash-split on it, so every value of the key in
+		// partition j's tables traces back to a bucket-j row; as the key is
+		// in the full variable set, no output row of j can occur in another
+		// partition, and the union is a plain concatenation.
 		stats := newStats()
 		var tm *Timings
 		for _, res := range ress {
@@ -388,10 +395,7 @@ func (ex *Executor) execute(ctx context.Context, p *plan.Plan, ins *query.Instan
 		if tm != nil {
 			tm.RuleFanout = tick()
 		}
-		t := reduced[0]
-		for j := 1; j < nParts; j++ {
-			t = t.Union(reduced[j])
-		}
+		t := relation.Concat(reduced[0].Name, reduced)
 		if tm != nil {
 			tm.Merge = tick()
 		}
@@ -436,11 +440,13 @@ func (ex *Executor) execute(ctx context.Context, p *plan.Plan, ins *query.Instan
 		}
 		rels := make([]*relation.Relation, len(td.Bags))
 		for bi := range td.Bags {
-			t := reduced[bi*nParts]
-			for pj := 1; pj < nParts; pj++ {
-				t = t.Union(reduced[bi*nParts+pj])
+			// A bag need not hold the partition key, so its partition
+			// tables may overlap: a deduplicating union.
+			var u tableUnion
+			for _, t := range reduced[bi*nParts : (bi+1)*nParts] {
+				u.add(t)
 			}
-			rels[bi] = t
+			rels[bi] = u.t
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -490,14 +496,15 @@ func (ex *Executor) execute(ctx context.Context, p *plan.Plan, ins *query.Instan
 			tm.RuleFanout = tick()
 		}
 		stats := newStats()
-		tables := map[bitset.Set]*relation.Relation{}
+		merged := tableMerger{}
 		for _, res := range ress {
 			accumulate(stats, res.Stats)
 			if tm != nil {
 				tm.Accumulate(res.Timings)
 			}
-			mergeTables(tables, res.Tables)
+			merged.add(res.Tables)
 		}
+		tables := merged.tables()
 		// Semijoin-reduce every bag table with the full inputs.
 		for b, t := range tables {
 			tables[b] = reduceWithInputs(t, ins)
@@ -553,17 +560,12 @@ func (ex *Executor) execute(ctx context.Context, p *plan.Plan, ins *query.Instan
 		if err != nil {
 			return nil, err
 		}
-		var out *relation.Relation
+		var out tableUnion
 		answer := false
 		for i := range passes {
 			answer = answer || answers[i]
-			if outs[i] == nil {
-				continue
-			}
-			if out == nil {
-				out = outs[i]
-			} else {
-				out = out.Union(outs[i])
+			if outs[i] != nil {
+				out.add(outs[i])
 			}
 		}
 		if tm != nil {
@@ -572,7 +574,7 @@ func (ex *Executor) execute(ctx context.Context, p *plan.Plan, ins *query.Instan
 		if p.Free == 0 {
 			return &ExecResult{NonEmpty: answer, Stats: stats, Timings: tm}, nil
 		}
-		return &ExecResult{Out: out, NonEmpty: out.Size() > 0, Stats: stats, Timings: tm}, nil
+		return &ExecResult{Out: out.t, NonEmpty: out.t.Size() > 0, Stats: stats, Timings: tm}, nil
 	}
 	return nil, fmt.Errorf("core: plan mode %v is not executable", p.Mode)
 }

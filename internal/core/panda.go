@@ -403,7 +403,7 @@ func (e *engine) stepDecomposition(f *frame, step flow.Step, st *stepTimer) (map
 	e.stats.Partitions++
 	e.tracef("decomposition: partition %s by deg(%s|%s) into %d buckets",
 		g.Name, e.label(y), e.label(x), len(buckets))
-	out := map[bitset.Set]*relation.Relation{}
+	out := tableMerger{}
 	for _, bk := range buckets {
 		e.stats.Subproblems++
 		child := &frame{
@@ -449,10 +449,10 @@ func (e *engine) stepDecomposition(f *frame, step flow.Step, st *stepTimer) (map
 			st.pause()
 			return nil, err
 		}
-		mergeTables(out, res)
+		out.add(res)
 	}
 	st.pause()
-	return out, nil
+	return out.tables(), nil
 }
 
 // stepComposition (Case 4): h(X) + h(Y|X) → h(Y). Within budget the join is
@@ -550,14 +550,54 @@ func (e *engine) truncateAndRestart(f *frame, step flow.Step, y bitset.Set) (*fr
 	return &frame{cons: f.cons, support: support, lambda: tr.Lambda, delta: tr.Delta, seq: seq}, nil
 }
 
-func mergeTables(dst, src map[bitset.Set]*relation.Relation) {
-	for b, r := range src {
-		if cur, ok := dst[b]; ok {
-			dst[b] = cur.Union(r)
-		} else {
-			dst[b] = r
-		}
+// tableUnion folds tables over one schema in arrival order. It never
+// writes into a table it was handed — a base case returns an input guard
+// (an instance relation or one of its shared hash partitions) as a target
+// table, and folding into that would change the caller's data — so the
+// first fold clones the table it holds, and every fold inserts into that
+// clone in place. A fold thus costs the incoming table's size, not the
+// accumulated one's. Empty tables are skipped rather than cloned.
+type tableUnion struct {
+	t     *relation.Relation
+	owned bool
+}
+
+func (u *tableUnion) add(r *relation.Relation) {
+	switch {
+	case u.t == nil || (!u.owned && u.t.Size() == 0):
+		u.t = r
+		return
+	case r.Size() == 0:
+		return
+	case !u.owned:
+		u.t = u.t.Clone(u.t.Name)
+		u.owned = true
 	}
+	u.t.InsertAll(r)
+}
+
+// tableMerger unions the per-target tables of sibling subproblems (degree
+// buckets, partitions, rules), one tableUnion per target.
+type tableMerger map[bitset.Set]*tableUnion
+
+func (m tableMerger) add(src map[bitset.Set]*relation.Relation) {
+	for b, r := range src {
+		u := m[b]
+		if u == nil {
+			u = &tableUnion{}
+			m[b] = u
+		}
+		u.add(r)
+	}
+}
+
+// tables returns the merged table per target.
+func (m tableMerger) tables() map[bitset.Set]*relation.Relation {
+	out := make(map[bitset.Set]*relation.Relation, len(m))
+	for b, u := range m {
+		out[b] = u.t
+	}
+	return out
 }
 
 // partitionByProjDegree partitions R's tuples by the degree bucket of their
@@ -565,67 +605,9 @@ func mergeTables(dst, src map[bitset.Set]*relation.Relation) {
 // relation, keeping R's full schema so it can keep guarding its other
 // constraints).
 func partitionByProjDegree(r *relation.Relation, y, x bitset.Set) []*relation.Relation {
-	t := r.Project(y)
-	parts := t.PartitionByDegree(y, x)
 	if x == 0 || x == y {
 		// Degenerate split: single bucket with the whole relation.
-		return []*relation.Relation{r.Clone(r.Name + "[all]")}
+		return []*relation.Relation{r.Snapshot(r.Name + "[all]")}
 	}
-	out := make([]*relation.Relation, len(parts))
-	// Assign each tuple of R to the bucket holding its Π_X value; keys stay
-	// on the interned-id plane (all relations here derive from r and share
-	// its intern table).
-	rowKeyPos := make([]int, 0, x.Card())
-	for i, c := range r.Cols() {
-		if x.Contains(c) {
-			rowKeyPos = append(rowKeyPos, i)
-		}
-	}
-	bucketOf := map[string]int{}
-	for bi, p := range parts {
-		px := p.Project(x)
-		w := len(px.Cols())
-		cols := make([][]uint32, w)
-		for c := range cols {
-			cols[c] = px.Column(c)
-		}
-		buf := make([]uint32, w)
-		for i := 0; i < px.Size(); i++ {
-			for c := range cols {
-				buf[c] = cols[c][i]
-			}
-			bucketOf[idKey(buf)] = bi
-		}
-		out[bi] = relation.New(fmt.Sprintf("%s[b%d]", r.Name, bi), r.Attrs())
-	}
-	rCols := make([][]uint32, len(r.Cols()))
-	for c := range rCols {
-		rCols[c] = r.Column(c)
-	}
-	keyBuf := make([]uint32, len(rowKeyPos))
-	rowBuf := make([]uint32, len(rCols))
-	for i := 0; i < r.Size(); i++ {
-		for j, p := range rowKeyPos {
-			keyBuf[j] = rCols[p][i]
-		}
-		if bi, ok := bucketOf[idKey(keyBuf)]; ok {
-			for c := range rCols {
-				rowBuf[c] = rCols[c][i]
-			}
-			out[bi].InsertIDs(rowBuf)
-		}
-	}
-	return out
-}
-
-// idKey encodes an id-tuple as a map key.
-func idKey(ids []uint32) string {
-	b := make([]byte, 4*len(ids))
-	for i, id := range ids {
-		b[4*i] = byte(id)
-		b[4*i+1] = byte(id >> 8)
-		b[4*i+2] = byte(id >> 16)
-		b[4*i+3] = byte(id >> 24)
-	}
-	return string(b)
+	return r.PartitionByDegree(y, x)
 }

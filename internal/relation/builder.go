@@ -5,8 +5,9 @@ import (
 )
 
 // Builder constructs a relation in bulk: rows are interned and deduplicated
-// as they arrive into preallocated column vectors, and Build can lay the
-// rows out in sorted order for deterministic storage. Use it when the whole
+// as they arrive into column vectors and a dedup table both presized for
+// the hinted row count, and Build can lay the rows out in sorted order for
+// deterministic storage. Use it when the whole
 // row set is known up front (query binding, CSV ingest, test fixtures);
 // incremental catalog writes keep using Relation.Insert.
 type Builder struct {
@@ -16,13 +17,8 @@ type Builder struct {
 // NewBuilder starts a relation with the given schema, preallocating for
 // sizeHint rows (0 is fine).
 func NewBuilder(name string, attrs bitset.Set, sizeHint int) *Builder {
-	r := New(name, attrs)
-	if sizeHint > 0 {
-		for c := range r.data {
-			r.data[c] = make([]uint32, 0, sizeHint)
-		}
-		r.seen = make(map[uint64][]int32, sizeHint)
-	}
+	r := newSized(name, attrs, sizeHint)
+	r.ensureSeen(sizeHint)
 	return &Builder{r: r}
 }
 
@@ -58,7 +54,7 @@ func (b *Builder) BuildSorted() *Relation {
 		r.data[c] = col
 	}
 	// Row indices moved: rebuild the dedup table lazily if ever needed.
-	r.seen = nil
+	r.seen = rowSet{}
 	r.mut++
 	return r
 }

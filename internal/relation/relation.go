@@ -13,6 +13,8 @@ package relation
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -36,12 +38,13 @@ type Relation struct {
 
 	data  [][]uint32 // one id vector per column, each of length nrows
 	nrows int
-	// seen dedups rows by the FNV hash of their id-tuple; each bucket holds
-	// candidate row indices verified by column comparison. Built lazily:
-	// operators whose output is unique by construction (Semijoin, Partition,
-	// Clone, degree buckets, snapshots) skip it until the first membership
+	// seen dedups rows: a flat table of row indices keyed by the FNV hash
+	// of each row's id-tuple, candidates verified by column comparison (see
+	// rowSet). When present it indexes every row. Built lazily: operators
+	// whose output is unique by construction (Join, Semijoin, Partition,
+	// Concat, degree buckets, snapshots) skip it until the first membership
 	// probe or dedup insert.
-	seen map[uint64][]int32
+	seen rowSet
 
 	marks []tickMark
 	// mut counts accepted inserts; derived-structure memos are keyed by it
@@ -117,6 +120,15 @@ func New(name string, attrs bitset.Set) *Relation {
 		in:    Global,
 		data:  make([][]uint32, len(cols)),
 	}
+}
+
+// newSized is New with every column preallocated for rows rows.
+func newSized(name string, attrs bitset.Set, rows int) *Relation {
+	r := New(name, attrs)
+	for c := range r.data {
+		r.data[c] = make([]uint32, 0, rows)
+	}
+	return r
 }
 
 // Attrs returns the relation's schema.
@@ -214,15 +226,19 @@ func (r *Relation) decodeInto(buf []Value, i int) {
 	}
 }
 
-// ensureSeen builds the dedup table from the stored rows if it is absent.
-func (r *Relation) ensureSeen() {
-	if r.seen != nil {
+// ensureSeen builds the dedup table from the stored rows if it is absent
+// and makes room for extra more rows.
+func (r *Relation) ensureSeen(extra int) {
+	want := r.nrows + extra
+	if !r.seen.present() {
+		r.seen = newRowSet(want)
+		for i := 0; i < r.nrows; i++ {
+			r.seen.put(r.rowHash(i), i)
+		}
 		return
 	}
-	r.seen = make(map[uint64][]int32, r.nrows+1)
-	for i := 0; i < r.nrows; i++ {
-		h := r.rowHash(i)
-		r.seen[h] = append(r.seen[h], int32(i))
+	if !r.seen.fits(want) {
+		r.seen.resize(want, r.rowHash)
 	}
 }
 
@@ -237,36 +253,43 @@ func (r *Relation) appendIDs(ids []uint32) {
 
 // appendUnique appends a row the caller guarantees is not present.
 func (r *Relation) appendUnique(ids []uint32) {
-	if r.seen != nil {
-		h := hashIDs(ids)
-		r.seen[h] = append(r.seen[h], int32(r.nrows))
+	if r.seen.present() {
+		r.ensureSeen(1)
+		r.seen.put(hashIDs(ids), r.nrows)
 	}
 	r.appendIDs(ids)
 }
 
 // insertIDs appends a row unless present; reports whether it was new.
 func (r *Relation) insertIDs(ids []uint32) bool {
-	r.ensureSeen()
-	h := hashIDs(ids)
-	for _, i := range r.seen[h] {
-		if r.rowMatchIDs(int(i), ids) {
+	r.ensureSeen(1)
+	s := &r.seen
+	for i := s.home(hashIDs(ids)); ; i = s.next(i) {
+		v := s.slots[i]
+		if v == 0 {
+			s.slots[i] = int32(r.nrows + 1)
+			r.appendIDs(ids)
+			return true
+		}
+		if r.rowMatchIDs(int(v-1), ids) {
 			return false
 		}
 	}
-	r.seen[h] = append(r.seen[h], int32(r.nrows))
-	r.appendIDs(ids)
-	return true
 }
 
 // containsIDs reports whether the id-tuple is present.
 func (r *Relation) containsIDs(ids []uint32) bool {
-	r.ensureSeen()
-	for _, i := range r.seen[hashIDs(ids)] {
-		if r.rowMatchIDs(int(i), ids) {
+	r.ensureSeen(0)
+	s := &r.seen
+	for i := s.home(hashIDs(ids)); ; i = s.next(i) {
+		v := s.slots[i]
+		if v == 0 {
+			return false
+		}
+		if r.rowMatchIDs(int(v-1), ids) {
 			return true
 		}
 	}
-	return false
 }
 
 // Insert adds a tuple given in column order (sorted variable ids);
@@ -314,6 +337,12 @@ func (r *Relation) InsertAll(s *Relation) {
 		panic(fmt.Sprintf("InsertAll schema mismatch: %v vs %v", r.attrs, s.attrs))
 	}
 	sameInterner(r, s)
+	// Room for every row of s up front: one table resize and one column
+	// growth instead of a doubling cascade.
+	r.ensureSeen(s.nrows)
+	for c := range r.data {
+		r.data[c] = slices.Grow(r.data[c], s.nrows)
+	}
 	buf := make([]uint32, len(r.cols))
 	for i := 0; i < s.nrows; i++ {
 		r.insertIDs(s.rowIDs(i, buf))
@@ -386,11 +415,16 @@ func (r *Relation) positions(x bitset.Set) []int {
 	return pos
 }
 
-// Project returns Π_X(r) for X ⊆ schema.
+// Project returns Π_X(r) for X ⊆ schema. Projecting onto the whole schema
+// returns a Snapshot: r is already a set, so there is nothing to dedup.
 func (r *Relation) Project(x bitset.Set) *Relation {
-	out := New(fmt.Sprintf("Π%v(%s)", x, r.Name), x)
+	name := fmt.Sprintf("Π%v(%s)", x, r.Name)
+	if x == r.attrs {
+		return r.Snapshot(name)
+	}
+	out := New(name, x)
 	pos := r.positions(x)
-	out.ensureSeen()
+	out.ensureSeen(0)
 	buf := make([]uint32, len(pos))
 	for i := 0; i < r.nrows; i++ {
 		for j, p := range pos {
@@ -435,7 +469,11 @@ func (r *Relation) matchOn(i int, rPos []int, s *Relation, j int, sPos []int) bo
 	return true
 }
 
-// Join returns the natural join r ⋈ s.
+// Join returns the natural join r ⋈ s. Output rows are appended without a
+// membership probe: an output row projects back onto exactly one row of
+// each input, so distinct (probe row, build row) pairs yield distinct rows,
+// and since both inputs are sets and every pair is visited once, the output
+// is a set by construction.
 func (r *Relation) Join(s *Relation) *Relation {
 	sameInterner(r, s)
 	common := r.attrs.Intersect(s.attrs)
@@ -465,7 +503,6 @@ func (r *Relation) Join(s *Relation) *Relation {
 			}
 		}
 	}
-	out.ensureSeen()
 	outBuf := make([]uint32, len(outCols))
 	for i := 0; i < probe.nrows; i++ {
 		h := probe.hashRowAt(i, probePos)
@@ -480,7 +517,7 @@ func (r *Relation) Join(s *Relation) *Relation {
 					outBuf[o] = build.data[fromBuild[o]][int(bi)]
 				}
 			}
-			out.insertIDs(outBuf)
+			out.appendIDs(outBuf)
 		}
 	}
 	return out
@@ -496,35 +533,60 @@ func (r *Relation) Semijoin(s *Relation) *Relation {
 	idx := s.index(common)
 	rPos := r.positions(common)
 	sPos := s.positions(common)
-	out := New(fmt.Sprintf("(%s⋉%s)", r.Name, s.Name), r.attrs)
-	buf := make([]uint32, len(r.cols))
+	name := fmt.Sprintf("(%s⋉%s)", r.Name, s.Name)
+	// Mark the surviving rows first, so the output is sized exactly — or,
+	// when nothing is filtered, is a Snapshot sharing r's columns.
+	keep := make([]uint64, (r.nrows+63)/64)
+	n := 0
 	for i := 0; i < r.nrows; i++ {
 		h := r.hashRowAt(i, rPos)
 		for _, si := range idx[h] {
 			if r.matchOn(i, rPos, s, int(si), sPos) {
-				out.appendUnique(r.rowIDs(i, buf))
+				keep[i/64] |= 1 << (i % 64)
+				n++
 				break
 			}
 		}
 	}
+	if n == r.nrows {
+		return r.Snapshot(name)
+	}
+	out := newSized(name, r.attrs, n)
+	for c, col := range r.data {
+		dst := out.data[c]
+		for i := 0; i < r.nrows; i++ {
+			if keep[i/64]&(1<<(i%64)) != 0 {
+				dst = append(dst, col[i])
+			}
+		}
+		out.data[c] = dst
+	}
+	out.nrows = n
+	out.mut = uint64(n)
 	return out
 }
 
-// Union returns r ∪ s; both must share the schema.
-func (r *Relation) Union(s *Relation) *Relation {
-	if r.attrs != s.attrs {
-		panic(fmt.Sprintf("union schema mismatch: %v vs %v", r.attrs, s.attrs))
+// Concat returns the union of parts (at least one, all over one schema and
+// intern table) in part order, appending rows without a membership probe.
+// The caller guarantees the parts are pairwise disjoint — the buckets of a
+// hash partition, say; overlapping parts would yield duplicate rows.
+func Concat(name string, parts []*Relation) *Relation {
+	n := 0
+	for _, p := range parts {
+		if p.attrs != parts[0].attrs {
+			panic(fmt.Sprintf("concat schema mismatch: %v vs %v", parts[0].attrs, p.attrs))
+		}
+		sameInterner(parts[0], p)
+		n += p.nrows
 	}
-	sameInterner(r, s)
-	out := New(fmt.Sprintf("(%s∪%s)", r.Name, s.Name), r.attrs)
-	out.ensureSeen()
-	buf := make([]uint32, len(r.cols))
-	for i := 0; i < r.nrows; i++ {
-		out.appendUnique(r.rowIDs(i, buf))
+	out := newSized(name, parts[0].attrs, n)
+	for _, p := range parts {
+		for c := range out.data {
+			out.data[c] = append(out.data[c], p.data[c][:p.nrows]...)
+		}
 	}
-	for i := 0; i < s.nrows; i++ {
-		out.insertIDs(s.rowIDs(i, buf))
-	}
+	out.nrows = n
+	out.mut = uint64(n)
 	return out
 }
 
@@ -577,49 +639,58 @@ func (r *Relation) bucketOf(i int, pos []int, k int) int {
 	return int(h % uint64(k))
 }
 
-// groupRows partitions the row indices into groups agreeing on pos, in
-// first-appearance order.
-func (r *Relation) groupRows(pos []int) [][]int32 {
-	var out [][]int32
-	m := make(map[uint64][]int32, r.nrows)
+// groupRows numbers the distinct projections of r's rows onto pos in
+// first-appearance order: gid[i] is row i's group and n counts the groups.
+func (r *Relation) groupRows(pos []int) (gid []int32, n int) {
+	gid = make([]int32, r.nrows)
+	hash := func(i int) uint64 { return r.hashRowAt(i, pos) }
+	set := newRowSet(0)
 	for i := 0; i < r.nrows; i++ {
-		h := r.hashRowAt(i, pos)
-		gi := -1
-		for _, g := range m[h] {
-			if r.rowsMatchAt(int(out[g][0]), i, pos) {
-				gi = int(g)
+		if !set.fits(n + 1) {
+			set.resize(n+1, hash)
+		}
+		for j := set.home(hash(i)); ; j = set.next(j) {
+			v := set.slots[j]
+			if v == 0 { // a new group, represented by row i
+				set.slots[j] = int32(i + 1)
+				gid[i] = int32(n)
+				n++
+				break
+			}
+			if rep := int(v - 1); r.rowsMatchAt(rep, i, pos) {
+				gid[i] = gid[rep]
 				break
 			}
 		}
-		if gi < 0 {
-			gi = len(out)
-			out = append(out, nil)
-			m[h] = append(m[h], int32(gi))
-		}
-		out[gi] = append(out[gi], int32(i))
 	}
-	return out
+	return gid, n
 }
 
-// distinctAt counts the distinct projections of the given rows onto pos.
-func (r *Relation) distinctAt(rows []int32, pos []int) int {
-	m := make(map[uint64][]int32, len(rows))
-	n := 0
-	for _, i := range rows {
-		h := r.hashRowAt(int(i), pos)
-		dup := false
-		for _, j := range m[h] {
-			if r.rowsMatchAt(int(j), int(i), pos) {
-				dup = true
-				break
-			}
+// xDegrees groups r's rows by X-value (xg[i] is row i's group, numbered in
+// first-appearance order) and returns every group's degree: the number of
+// distinct Y-values among its rows, X ⊆ Y ⊆ schema.
+func (r *Relation) xDegrees(y, x bitset.Set) (xg, deg []int32) {
+	xg, nx := r.groupRows(r.positions(x))
+	deg = make([]int32, nx)
+	if y == r.attrs {
+		// r is a set: every row is its own Y-value.
+		for _, g := range xg {
+			deg[g]++
 		}
-		if !dup {
-			m[h] = append(m[h], i)
-			n++
+		return xg, deg
+	}
+	yg, _ := r.groupRows(r.positions(y))
+	next := int32(0)
+	for i, g := range yg {
+		// Y-groups are numbered in first-appearance order, so g == next
+		// marks the first row of a new Y-value; X ⊆ Y puts all of that
+		// value's rows in one X-group.
+		if g == next {
+			next++
+			deg[xg[i]]++
 		}
 	}
-	return n
+	return xg, deg
 }
 
 // Degree returns deg_r(Y|X) = max over X-tuples t of |Π_Y(σ_{X=t}(r))|,
@@ -628,75 +699,83 @@ func (r *Relation) Degree(y, x bitset.Set) int {
 	if !x.SubsetOf(y) || !y.SubsetOf(r.attrs) {
 		panic(fmt.Sprintf("relation %s: bad degree query Y=%v X=%v schema=%v", r.Name, y, x, r.attrs))
 	}
-	xPos := r.positions(x)
-	yPos := r.positions(y)
-	best := 0
-	for _, g := range r.groupRows(xPos) {
-		if d := r.distinctAt(g, yPos); d > best {
-			best = d
-		}
+	_, deg := r.xDegrees(y, x)
+	best := int32(0)
+	for _, d := range deg {
+		best = max(best, d)
 	}
-	return best
+	return int(best)
 }
 
-// PartitionByDegree implements Lemma 6.1: it splits Π_Y(r) into at most
+// PartitionByDegree implements Lemma 6.1 on r's rows: it splits r, by the
+// degree of each row's X-value over Π_Y(r), into at most
 // 2·log₂|Π_Y(r)|+2 buckets such that in bucket j,
-// |Π_X(bucket)| · max-degree(Y|X within bucket) ≤ |Π_Y(r)|.
-// Bucket j collects X-tuples whose degree lies in [2^j, 2^{j+1}), halved
-// again by X-value so that the product bound holds.
+// |Π_X(bucket)| · max-degree(Y|X within bucket) ≤ |Π_Y(r)|, for
+// X ⊆ Y ⊆ schema. Bucket j collects X-values whose degree lies in
+// [2^j, 2^{j+1}), halved again by X-value (in first-appearance order) so
+// that the product bound holds. Buckets keep r's schema and row order and
+// come in ascending degree order; as a split of a set they need no dedup.
 func (r *Relation) PartitionByDegree(y, x bitset.Set) []*Relation {
-	t := r.Project(y)
-	xPos := t.positions(x)
-	// Groups of t's rows by X-value, in first-appearance order.
-	groups := t.groupRows(xPos)
-	// log-degree bucket of each group.
-	buckets := map[int][][]int32{}
-	for _, g := range groups {
-		// Bucket j holds X-values whose degree lies in [2^j, 2^{j+1}).
-		j := 0
-		for (1 << uint(j+1)) <= len(g) {
-			j++
-		}
-		buckets[j] = append(buckets[j], g)
+	if !x.SubsetOf(y) || !y.SubsetOf(r.attrs) {
+		panic(fmt.Sprintf("relation %s: bad degree partition Y=%v X=%v schema=%v", r.Name, y, x, r.attrs))
 	}
-	var out []*Relation
-	var js []int
-	for j := range buckets {
-		js = append(js, j)
+	xg, deg := r.xDegrees(y, x)
+	// An X-group's degree class is ⌊log₂ deg⌋; count the groups per class.
+	class := func(d int32) int { return bits.Len32(uint32(d)) - 1 }
+	var perClass [32]int32
+	for _, d := range deg {
+		perClass[class(d)]++
 	}
-	sort.Ints(js)
-	buf := make([]uint32, len(t.cols))
-	for _, j := range js {
-		gs := buckets[j]
-		// Split the groups of this bucket into two halves by X-value count
-		// so each half has ≤ ⌈|groups|/2⌉ distinct X-values.
-		half := (len(gs) + 1) / 2
-		for part := 0; part < 2; part++ {
-			lo, hi := 0, half
-			if part == 1 {
-				lo, hi = half, len(gs)
-			}
-			if lo >= hi {
-				continue
-			}
-			sub := New(fmt.Sprintf("%s[deg2^%d.%d]", r.Name, j, part), y)
-			for _, g := range gs[lo:hi] {
-				for _, ri := range g {
-					sub.appendUnique(t.rowIDs(int(ri), buf))
-				}
-			}
-			out = append(out, sub)
+	// Bucket numbering: classes ascending, each class's first half of
+	// groups (by first appearance) then its second half.
+	var first [32]int32
+	nb := int32(0)
+	for j, n := range perClass {
+		if n == 0 {
+			continue
 		}
+		first[j] = nb
+		nb++
+		if n >= 2 {
+			nb++
+		}
+	}
+	bucket := make([]int32, len(deg))
+	var rank [32]int32
+	for g, d := range deg {
+		j := class(d)
+		bucket[g] = first[j]
+		if rank[j] >= (perClass[j]+1)/2 {
+			bucket[g]++
+		}
+		rank[j]++
+	}
+	sizes := make([]int, nb)
+	for _, g := range xg {
+		sizes[bucket[g]]++
+	}
+	out := make([]*Relation, nb)
+	for b := range out {
+		out[b] = newSized(fmt.Sprintf("%s[b%d]", r.Name, b), r.attrs, sizes[b])
+	}
+	buf := make([]uint32, len(r.cols))
+	for i, g := range xg {
+		out[bucket[g]].appendUnique(r.rowIDs(i, buf))
 	}
 	return out
 }
 
-// Clone returns a deep copy with a new name.
+// Clone returns a deep copy with a new name. A built dedup table is copied
+// along with the columns: row indices are unchanged, so it stays valid.
 func (r *Relation) Clone(name string) *Relation {
 	out := New(name, r.attrs)
-	buf := make([]uint32, len(r.cols))
-	for i := 0; i < r.nrows; i++ {
-		out.appendUnique(r.rowIDs(i, buf))
+	for c := range r.data {
+		out.data[c] = slices.Clone(r.data[c][:r.nrows])
+	}
+	out.nrows = r.nrows
+	out.mut = uint64(r.nrows)
+	if r.seen.present() {
+		out.seen = rowSet{slots: slices.Clone(r.seen.slots), shift: r.seen.shift}
 	}
 	return out
 }

@@ -107,9 +107,10 @@ func TestSemijoin(t *testing.T) {
 func TestUnion(t *testing.T) {
 	r := pairs("R", 0, 1, [][2]Value{{1, 2}})
 	s := pairs("S", 0, 1, [][2]Value{{1, 2}, {3, 4}})
-	u := r.Union(s)
-	if u.Size() != 2 {
-		t.Fatalf("union size %d", u.Size())
+	u := r.Clone("U")
+	u.InsertAll(s)
+	if u.Size() != 2 || r.Size() != 1 || !u.Contains([]Value{3, 4}) {
+		t.Fatalf("union size %d (r %d)", u.Size(), r.Size())
 	}
 }
 
@@ -222,31 +223,82 @@ func TestJoinCommutative(t *testing.T) {
 	}
 }
 
-// TestJoinAgainstNestedLoop validates the hash join against a brute-force
-// nested-loop join on random instances.
+// TestJoinAgainstNestedLoop validates the hash join against a nested-loop
+// join over decoded rows — independent of Join, of Insert's dedup and of
+// Instance.FullJoin — on random inputs of several schema shapes. Join
+// appends without a membership probe, so the output must hold exactly the
+// matching (r row, s row) pairs, each once.
 func TestJoinAgainstNestedLoop(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 20; trial++ {
-		r := New("R", bitset.Of(0, 1, 2))
-		s := New("S", bitset.Of(1, 2, 3))
-		for i := 0; i < 40; i++ {
-			r.Insert([]Value{Value(rng.Intn(4)), Value(rng.Intn(4)), Value(rng.Intn(4))})
-			s.Insert([]Value{Value(rng.Intn(4)), Value(rng.Intn(4)), Value(rng.Intn(4))})
+	rng := rand.New(rand.NewSource(29))
+	schemas := [][2]bitset.Set{
+		{bitset.Of(0, 1), bitset.Of(1, 2)},       // one shared attribute
+		{bitset.Of(0, 1, 2), bitset.Of(1, 2, 3)}, // two shared
+		{bitset.Of(0, 1), bitset.Of(2, 3)},       // cross product
+		{bitset.Of(0, 1), bitset.Of(0, 1)},       // intersection
+		{bitset.Of(0, 1, 2), bitset.Of(1)},       // containment
+	}
+	for trial := 0; trial < 40; trial++ {
+		sc := schemas[trial%len(schemas)]
+		r := randomRelation(rng, sc[0], rng.Intn(60), 2+rng.Intn(5))
+		s := randomRelation(rng, sc[1], rng.Intn(60), 2+rng.Intn(5))
+		out := r.Join(s)
+		if out.Attrs() != sc[0].Union(sc[1]) {
+			t.Fatalf("trial %d: join schema %v", trial, out.Attrs())
 		}
-		j := r.Join(s)
-		want := New("W", bitset.Of(0, 1, 2, 3))
+		want := map[string]bool{}
 		for _, rt := range r.Rows() {
 			for _, st := range s.Rows() {
-				// r cols: 0,1,2; s cols: 1,2,3.
-				if rt[1] == st[0] && rt[2] == st[1] {
-					want.Insert([]Value{rt[0], rt[1], rt[2], st[2]})
+				if row, ok := mergeRows(r.Cols(), rt, s.Cols(), st); ok {
+					want[rowKey(row)] = true
 				}
 			}
 		}
-		if !j.Equal(want) {
-			t.Fatalf("trial %d: hash join %d tuples, nested loop %d", trial, j.Size(), want.Size())
+		got := map[string]bool{}
+		for row := range out.All() {
+			k := rowKey(row)
+			if got[k] {
+				t.Fatalf("trial %d: row %v emitted twice", trial, row)
+			}
+			got[k] = true
+			if !want[k] {
+				t.Fatalf("trial %d: row %v not in the nested-loop join", trial, row)
+			}
+		}
+		if len(got) != len(want) || out.Size() != len(want) {
+			t.Fatalf("trial %d: join %d rows (%d distinct), nested loop %d", trial, out.Size(), len(got), len(want))
 		}
 	}
+}
+
+// mergeRows combines two decoded rows over sorted column lists into one
+// row over the union schema, or reports that they disagree on a shared
+// column.
+func mergeRows(rc []int, rt []Value, sc []int, st []Value) ([]Value, bool) {
+	val := map[int]Value{}
+	for i, c := range rc {
+		val[c] = rt[i]
+	}
+	for i, c := range sc {
+		if v, ok := val[c]; ok && v != st[i] {
+			return nil, false
+		}
+		val[c] = st[i]
+	}
+	out := make([]Value, 0, len(val))
+	for c := 0; len(out) < len(val); c++ {
+		if v, ok := val[c]; ok {
+			out = append(out, v)
+		}
+	}
+	return out, true
+}
+
+func rowKey(row []Value) string {
+	k := ""
+	for _, v := range row {
+		k += string(rune(v)) + ","
+	}
+	return k
 }
 
 func TestSemijoinIsProjectionOfJoin(t *testing.T) {

@@ -272,7 +272,10 @@ func (w *Watch) Result() *Result {
 
 // Snapshot returns the current materialized result together with the
 // catalog tick it reflects; a consumer that applies every delta with
-// Tick greater than the snapshot tick reconstructs the live state.
+// Tick greater than the snapshot tick reconstructs the live state. A
+// round publishes its tick only after queueing its delta, so a snapshot
+// taken in between may already hold that delta's rows: apply delta rows
+// as a set union.
 func (w *Watch) Snapshot() (*Result, uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -295,7 +298,8 @@ func (w *Watch) Snapshot() (*Result, uint64) {
 	return res, w.tick
 }
 
-// Tick reports the catalog tick the materialization currently reflects.
+// Tick reports the catalog tick the materialization currently reflects;
+// the delta carrying that tick, if any, is already queued on Deltas.
 func (w *Watch) Tick() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -465,12 +469,13 @@ func (w *Watch) fullRound(structural bool) bool {
 			}
 		}
 		w.mu.Lock()
-		w.tables, w.bound, w.ok, w.tick = res.Tables, res.Bound, ok, tick
+		w.tables, w.bound, w.ok = res.Tables, res.Bound, ok
 		w.stats.FullRounds++
 		w.stats.Resyncs++
 		w.mu.Unlock()
 		w.ins, w.lastPtrs, w.tickSeen, w.needResync = ins, ptrs, tick, false
 		w.send(WatchDelta{Tick: tick, OK: ok, Resync: true, Tables: res.Tables})
+		w.publishTick(tick)
 		return true
 	}
 
@@ -506,7 +511,7 @@ func (w *Watch) fullRound(structural bool) bool {
 		}
 	}
 	okChanged := ok != w.ok
-	w.mat, w.ok, w.bound, w.tick = out, ok, ex.Bound, tick
+	w.mat, w.ok, w.bound = out, ok, ex.Bound
 	w.stats.FullRounds++
 	if structural {
 		w.stats.Resyncs++
@@ -524,6 +529,7 @@ func (w *Watch) fullRound(structural bool) bool {
 	case len(added) > 0 || okChanged:
 		w.send(WatchDelta{Tick: tick, Rows: added, OK: ok})
 	}
+	w.publishTick(tick)
 	return true
 }
 
@@ -591,10 +597,9 @@ func (w *Watch) incrRound(snap watchSnap) bool {
 		ok = w.mat.Size() > 0
 	}
 	okChanged := ok != w.ok
-	w.ok, w.tick = ok, snap.tick
+	w.ok = ok
 	w.stats.IncrRounds++
 	w.mu.Unlock()
-	w.advance(snap)
 
 	if fresh != nil || okChanged {
 		d := WatchDelta{Tick: snap.tick, OK: ok}
@@ -603,6 +608,7 @@ func (w *Watch) incrRound(snap watchSnap) bool {
 		}
 		w.send(d)
 	}
+	w.advance(snap)
 	return true
 }
 
@@ -612,9 +618,16 @@ func (w *Watch) advance(snap watchSnap) {
 		w.lastPtrs[name] = nd.ptr
 	}
 	w.tickSeen = snap.tick
+	w.publishTick(snap.tick)
+}
+
+// publishTick advances the tick Tick reports. Rounds call it only after
+// queueing their delta, so a reader that sees Tick() ≥ t finds the delta
+// for t already on the Deltas channel.
+func (w *Watch) publishTick(tick uint64) {
 	w.mu.Lock()
-	if snap.tick > w.tick {
-		w.tick = snap.tick
+	if tick > w.tick {
+		w.tick = tick
 	}
 	w.mu.Unlock()
 }
